@@ -50,7 +50,7 @@ def test_eval_count_eafe(benchmark, data, fpe, nfs_result, bench_cfg_module):
 
 def test_eval_count_dropout(benchmark, data, nfs_result, bench_cfg_module):
     X, y, task = data
-    cfg = AFEConfig(**{**vars(bench_cfg_module), "use_fpe": False, "dropout_keep": 0.5})
+    cfg = AFEConfig(**{**vars(bench_cfg_module), "dropout_keep": 0.5})
     r = benchmark.pedantic(
         lambda: run_afe(X, y, task, None, cfg), rounds=1, iterations=1
     )

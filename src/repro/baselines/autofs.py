@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from ..core.eafe import AFEConfig, AFEResult, select_important_features
+from ..core.eafe import AFEConfig, AFEResult, final_report, select_important_features
 from ..core.operators import ALL_OPS, BINARY_OPS
 from ..core.transform import apply_op, leaf
 from ..ml.forest import cross_val_score
@@ -66,6 +66,9 @@ def run_autofs_r(
         res.eval_time += time.perf_counter() - t0
         return s
 
+    def matrix(cols: list[int]) -> np.ndarray:
+        return np.concatenate([Xk] + [values[j][:, None] for j in cols], axis=1)
+
     res.base_score = cv(Xk)
     res.best_score = res.base_score
     # Random generation, same budget as the RL methods' formal step count.
@@ -93,11 +96,7 @@ def run_autofs_r(
         if visited[idx]:
             continue
         visited[idx] = True
-        M = np.concatenate(
-            [Xk] + [values[j][:, None] for j in selected] + [values[idx][:, None]],
-            axis=1,
-        )
-        s = cv(M)
+        s = cv(matrix(selected + [idx]))
         res.n_evaluated += 1
         gain = s - cur
         q[idx] += gain
@@ -108,21 +107,9 @@ def run_autofs_r(
             if len(selected) >= cfg.max_state_features:
                 break
         res.history.append(res.best_score)
-    # Final report under the shared higher-fidelity protocol (see
-    # AFEConfig.final_cv_*): score the selected set, not the noisy max.
-    final_cfg = dict(k=cfg.final_cv_k, n_trees=cfg.final_cv_trees, seed=cfg.seed * 7 + 917)
-    t0 = time.perf_counter()
-    base_final = cross_val_score(Xk, y, task, **final_cfg)
-    if selected:
-        M = np.concatenate([Xk] + [values[j][:, None] for j in selected], axis=1)
-        sel_final = cross_val_score(M, y, task, **final_cfg)
-    else:
-        sel_final = base_final
-    res.eval_time += time.perf_counter() - t0
-    res.base_score = base_final
-    res.best_score = max(base_final, sel_final)
-    res.total_time = time.perf_counter() - t_start
     res.selected_specs = [pool[j] for j in selected]
     res.feature_names = [s.name for s in res.selected_specs]
-    res.kept_columns = keep  # type: ignore[attr-defined]
+    res.kept_columns = keep
+    final_report(res, Xk, matrix(selected) if selected else None, y, task, cfg)
+    res.total_time = time.perf_counter() - t_start
     return res

@@ -9,6 +9,8 @@ Table I dissects and Table IV counts.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ..core.eafe import AFEConfig, AFEResult, run_afe
@@ -17,30 +19,15 @@ __all__ = ["nfs_config", "run_nfs"]
 
 
 def nfs_config(base: AFEConfig | None = None) -> AFEConfig:
-    """The engine configuration that realizes NFS."""
-    b = base or AFEConfig()
-    return AFEConfig(
-        epochs_stage1=b.epochs_stage1,
-        epochs_stage2=b.epochs_stage2,
-        steps_per_agent=b.steps_per_agent,
-        max_order=b.max_order,
-        gamma=b.gamma,
-        lam=b.lam,
-        thre=b.thre,
-        max_agents=b.max_agents,
-        max_state_features=b.max_state_features,
-        use_fpe=False,
-        dropout_keep=None,
-        two_stage=False,
-        evaluate_all=True,
+    """The engine configuration that realizes NFS: ``base`` with NFS's
+    gate, training and de-duplication flags; every other field carries over."""
+    return replace(
+        base or AFEConfig(), dropout_keep=None, two_stage=False, evaluate_all=True,
         dedup=False,
-        cv_k=b.cv_k,
-        cv_trees=b.cv_trees,
-        seed=b.seed,
     )
 
 
 def run_nfs(
-    X: np.ndarray, y: np.ndarray, task: str, base: AFEConfig | None = None
+    X: np.ndarray, y: np.ndarray, task: str, cfg: AFEConfig | None = None
 ) -> AFEResult:
-    return run_afe(X, y, task, fpe=None, cfg=nfs_config(base))
+    return run_afe(X, y, task, cfg=nfs_config(cfg))

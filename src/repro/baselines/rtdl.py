@@ -19,6 +19,7 @@ import time
 
 import numpy as np
 
+from ..core.eafe import AFEConfig, AFEResult, final_report
 from ..ml.forest import RandomForest, cross_val_score
 from ..ml.metrics import score as metric_score
 from ..ml.resnet import TabularResNet
@@ -92,9 +93,10 @@ def run_dl_fe(
             chosen = cand
         if len(chosen) >= max_selected:
             break
-    # Final report under the shared higher-fidelity protocol, scoring
-    # the chosen representation columns once (not the greedy max).
-    final = cross_val_score(
-        rep[:, chosen] if chosen else rep, y, task, k=5, n_trees=12, seed=seed * 7 + 917
-    )
+    # Final report under the shared protocol, scoring the chosen
+    # representation columns once (not the greedy max).
+    final = final_report(
+        AFEResult(0.0, 0.0), rep[:, chosen] if chosen else rep, None, y, task,
+        AFEConfig(seed=seed),
+    ).best_score
     return {"score": float(max(final, 0.0)), "time": time.perf_counter() - t0}

@@ -10,6 +10,8 @@ inside the same task so feature matrices never cross the wire.
 """
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
@@ -37,19 +39,35 @@ __all__ = [
     "replacement_scores",
 ]
 
-# Method name -> FPE variant it needs (None = no FPE consulted).
-METHODS: dict[str, str | None] = {
-    "FS_R": None,
-    "DL_N": None,
-    "NFS": None,
-    "FE|DL": "ccws",
-    "DL|FE": None,
-    "E-AFE_R": "ccws",
-    "E-AFE_D": None,
-    "E-AFE^L": "licws",
-    "E-AFE^P": "pcws",
-    "E-AFE^I": "icws",
-    "E-AFE": "ccws",
+
+class Method(NamedTuple):
+    """How ``run_cell`` produces one Table III column.
+
+    ``runner`` (``run_afe``, ``run_nfs`` or ``run_autofs_r``) runs the
+    feature engineering on ``_eafe_config(seed, **overrides)``, consulting
+    the FPE model of hash family ``variant`` if one is named. ``dl`` is the
+    rtdl step: on the raw data when there is no runner, otherwise on the
+    runner's engineered feature matrix.
+    """
+
+    runner: Callable | None
+    variant: str | None = None
+    overrides: dict = {}
+    dl: Callable | None = None
+
+
+METHODS: dict[str, Method] = {
+    "FS_R": Method(run_autofs_r),
+    "DL_N": Method(None, dl=run_rtdl_n),
+    "NFS": Method(run_nfs),
+    "FE|DL": Method(run_afe, "ccws", dl=run_fe_dl),
+    "DL|FE": Method(None, dl=run_dl_fe),
+    "E-AFE_R": Method(run_afe, "ccws", {"two_stage": False}),
+    "E-AFE_D": Method(run_afe, overrides={"dropout_keep": 0.5}),
+    "E-AFE^L": Method(run_afe, "licws"),
+    "E-AFE^P": Method(run_afe, "pcws"),
+    "E-AFE^I": Method(run_afe, "icws"),
+    "E-AFE": Method(run_afe, "ccws"),
 }
 
 
@@ -91,6 +109,9 @@ def run_cell(
     with_replacement_models: bool = False,
 ) -> dict:
     """Execute one (method, dataset) cell; returns a flat metrics dict."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    m = METHODS[method]
     X_pdf, y = load_dataset(spec)
     X = X_pdf.values.astype(np.float64)
     task = spec.task
@@ -98,61 +119,35 @@ def run_cell(
         "dataset": spec.name,
         "task": task,
         "method": method,
+        "score": np.nan,
+        "base_score": np.nan,
+        "time_s": 0.0,
+        "n_generated": 0,
+        "n_evaluated": 0,
+        "gen_time": 0.0,
+        "eval_time": 0.0,
         "svm": np.nan,
         "nbgp": np.nan,
         "mlp": np.nan,
     }
-    feature_matrix = None
-
-    if method == "FS_R":
-        r = run_autofs_r(X, y, task, _eafe_config(seed))
+    feature_matrix = X
+    if m.runner is not None:
+        fpe = {"fpe": fpe_models[m.variant]} if m.variant else {}
+        r = m.runner(X, y, task, cfg=_eafe_config(seed, **m.overrides), **fpe)
         feature_matrix = build_feature_matrix(X, r)
-    elif method == "NFS":
-        r = run_nfs(X, y, task, _eafe_config(seed))
-        feature_matrix = build_feature_matrix(X, r)
-    elif method == "E-AFE_D":
-        r = run_afe(X, y, task, None, _eafe_config(seed, use_fpe=False, dropout_keep=0.5))
-        feature_matrix = build_feature_matrix(X, r)
-    elif method == "E-AFE_R":
-        r = run_afe(X, y, task, fpe_models["ccws"], _eafe_config(seed, two_stage=False))
-        feature_matrix = build_feature_matrix(X, r)
-    elif method in ("E-AFE", "E-AFE^L", "E-AFE^P", "E-AFE^I"):
-        variant = METHODS[method]
-        r = run_afe(X, y, task, fpe_models[variant], _eafe_config(seed))
-        feature_matrix = build_feature_matrix(X, r)
-    elif method == "DL_N":
-        d = run_rtdl_n(X, y, task, seed)
-        out.update(score=d["score"], time_s=d["time"], base_score=np.nan,
-                   n_generated=0, n_evaluated=0, gen_time=0.0, eval_time=0.0)
-        return out
-    elif method == "DL|FE":
-        d = run_dl_fe(X, y, task, seed)
-        out.update(score=d["score"], time_s=d["time"], base_score=np.nan,
-                   n_generated=0, n_evaluated=d.get("n_evaluated", 0),
-                   gen_time=0.0, eval_time=0.0)
-        return out
-    elif method == "FE|DL":
-        r = run_afe(X, y, task, fpe_models["ccws"], _eafe_config(seed))
-        M = build_feature_matrix(X, r)
-        d = run_fe_dl(M, y, task, seed)
-        out.update(score=d["score"], time_s=r.total_time + d["time"],
-                   base_score=r.base_score, n_generated=r.n_generated,
-                   n_evaluated=r.n_evaluated, gen_time=r.gen_time,
-                   eval_time=r.eval_time)
-        return out
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    out.update(
-        score=r.best_score,
-        base_score=r.base_score,
-        time_s=r.total_time,
-        n_generated=r.n_generated,
-        n_evaluated=r.n_evaluated,
-        gen_time=r.gen_time,
-        eval_time=r.eval_time,
-    )
-    if with_replacement_models and feature_matrix is not None:
+        out.update(
+            score=r.best_score,
+            base_score=r.base_score,
+            time_s=r.total_time,
+            n_generated=r.n_generated,
+            n_evaluated=r.n_evaluated,
+            gen_time=r.gen_time,
+            eval_time=r.eval_time,
+        )
+    if m.dl is not None:
+        d = m.dl(feature_matrix, y, task, seed)
+        out.update(score=d["score"], time_s=out["time_s"] + d["time"])
+    elif with_replacement_models:
         out.update(replacement_scores(feature_matrix, y, task, seed))
     return out
 

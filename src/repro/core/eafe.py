@@ -35,6 +35,7 @@ from .transform import FeatureSpec, apply_op, leaf
 __all__ = [
     "AFEConfig",
     "AFEResult",
+    "final_report",
     "run_afe",
     "select_important_features",
     "build_feature_matrix",
@@ -59,7 +60,6 @@ class AFEConfig:
     thre: float = 0.01
     max_agents: int = 10
     max_state_features: int = 24
-    use_fpe: bool = True
     dropout_keep: float | None = None  # E-AFE_D: random keep probability
     two_stage: bool = True
     evaluate_all: bool = False  # NFS: no pre-filtering at all
@@ -102,6 +102,9 @@ class AFEResult:
     selected_specs: list[FeatureSpec] = field(default_factory=list)
     feature_names: list[str] = field(default_factory=list)
     history: list[float] = field(default_factory=list)  # best score per epoch
+    # Original-column indices the run kept (RF-importance pre-selection);
+    # selected specs index into X[:, kept_columns].
+    kept_columns: np.ndarray | None = None
 
 
 def select_important_features(
@@ -121,6 +124,11 @@ class _Engine:
     """Mutable run state shared by both training stages."""
 
     def __init__(self, X, y, task, fpe, cfg: AFEConfig):
+        # The gate follows from the config: NFS evaluates everything,
+        # E-AFE_D drops at random, every other method consults the FPE.
+        self.fpe_gated = not cfg.evaluate_all and cfg.dropout_keep is None
+        if self.fpe_gated and fpe is None:
+            raise ValueError("this configuration requires a trained FPE model")
         self.cfg = cfg
         self.task = task
         self.y = np.asarray(y)
@@ -220,14 +228,13 @@ class _Engine:
         keeping the *better half* as ranked by FPE, which is where the
         advantage over E-AFE_D's blind 0.5 dropout comes from.
         """
-        cfg = self.cfg
-        if cfg.evaluate_all:
+        if self.fpe_gated:
+            p = self._fpe_p(values)
+            return p >= self._gate(), p
+        if self.cfg.evaluate_all:
             return True, 0.5
-        if cfg.dropout_keep is not None:
-            keep = bool(self.rng.random() < cfg.dropout_keep)
-            return keep, (0.75 if keep else 0.25)
-        p = self._fpe_p(values)
-        return p >= self._gate(), p
+        keep = bool(self.rng.random() < self.cfg.dropout_keep)
+        return keep, (0.75 if keep else 0.25)
 
     def _fpe_p(self, values: np.ndarray) -> float:
         """FPE probability for a candidate, recorded for gate calibration."""
@@ -327,8 +334,7 @@ class _Engine:
                         rewards.append(0.0)
                         steps.append((cache, 0.0))
                         continue
-                    fpe_mode = not cfg.evaluate_all and cfg.dropout_keep is None
-                    if fpe_mode and cfg.proposals_per_step > 1:
+                    if self.fpe_gated and cfg.proposals_per_step > 1:
                         # Best-of-k proposals: same policy action, extra
                         # parent samples; only the FPE-top one is gated.
                         cands = [out]
@@ -378,11 +384,37 @@ class _Engine:
             self.res.history.append(self.res.best_score)
 
 
+def final_report(
+    res: AFEResult,
+    base: np.ndarray,
+    selected: np.ndarray | None,
+    y: np.ndarray,
+    task: str,
+    cfg: AFEConfig,
+) -> AFEResult:
+    """Credit ``res`` under the final-report protocol every method shares.
+
+    The reported score is one higher-fidelity CV (``final_cv_k`` folds,
+    ``final_cv_trees`` trees, a fold seed decorrelated from the in-loop
+    folds) of the ``selected`` matrix, not the max over noisy in-loop
+    evaluations. The originals ``base`` get the same CV and are the floor,
+    since deploying them is always available; ``selected=None`` (nothing
+    selected) scores ``base`` alone. The time is charged to ``eval_time``.
+    """
+    t0 = time.perf_counter()
+    kw = dict(k=cfg.final_cv_k, n_trees=cfg.final_cv_trees, seed=cfg.seed * 7 + 917)
+    res.base_score = cross_val_score(base, y, task, **kw)
+    sel = res.base_score if selected is None else cross_val_score(selected, y, task, **kw)
+    res.best_score = max(res.base_score, sel)
+    res.eval_time += time.perf_counter() - t0
+    return res
+
+
 def run_afe(
     X: np.ndarray,
     y: np.ndarray,
     task: str,
-    fpe: FPEModel | None,
+    fpe: FPEModel | None = None,
     cfg: AFEConfig | None = None,
 ) -> AFEResult:
     """Run one AFE training on a dataset and return instrumented results.
@@ -391,11 +423,8 @@ def run_afe(
     None only when the config never consults it (NFS / dropout modes).
     """
     cfg = cfg or AFEConfig()
-    if cfg.use_fpe and cfg.dropout_keep is None and not cfg.evaluate_all and fpe is None:
-        raise ValueError("this configuration requires a trained FPE model")
     t_start = time.perf_counter()
     eng = _Engine(X, y, task, fpe, cfg)
-    final_seed = cfg.seed * 7 + 917  # decorrelated from the in-loop folds
     # Fairness protocol (paper §IV-A4: "the training epoch of the
     # two-stage strategy is 200, respectively", same as the baselines'
     # formal epochs): every method gets ``epochs_stage2`` formal epochs;
@@ -409,22 +438,10 @@ def run_afe(
     res = eng.res
     res.selected_specs = [s for s, _, _ in eng.accepted]
     res.feature_names = [s.name for s in res.selected_specs]
-    # Map selected spec leaf indices back to original column space.
-    res.kept_columns = eng.keep  # type: ignore[attr-defined]
-    # Final report: one higher-fidelity CV of the selected set and of the
-    # originals under the SAME protocol; the method is credited with the
-    # better of the two (deploying the originals is always available).
-    t0 = time.perf_counter()
-    final_cfg = dict(k=cfg.final_cv_k, n_trees=cfg.final_cv_trees, seed=final_seed)
-    base_final = cross_val_score(eng.X, eng.y, task, **final_cfg)
-    sel_final = (
-        cross_val_score(eng._matrix_with(None), eng.y, task, **final_cfg)
-        if eng.accepted
-        else base_final
+    res.kept_columns = eng.keep
+    final_report(
+        res, eng.X, eng._matrix_with(None) if eng.accepted else None, eng.y, task, cfg
     )
-    res.eval_time += time.perf_counter() - t0
-    res.base_score = base_final
-    res.best_score = max(base_final, sel_final)
     res.total_time = time.perf_counter() - t_start
     return res
 

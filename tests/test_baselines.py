@@ -1,11 +1,13 @@
 """Tests for the baselines: NFS, AutoFS_R, and the DL family."""
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from repro.baselines.autofs import random_pool, run_autofs_r
 from repro.baselines.nfs import nfs_config, run_nfs
 from repro.baselines.rtdl import run_dl_fe, run_fe_dl, run_rtdl_n, split_indices
-from repro.core.eafe import AFEConfig, build_feature_matrix
+from repro.core.eafe import AFEConfig, build_feature_matrix, run_afe
 from repro.core.transform import leaf
 from repro.synth_data import make_tabular
 
@@ -24,18 +26,45 @@ def data():
 class TestNFSConfig:
     def test_flags(self):
         c = nfs_config(TINY)
-        assert c.evaluate_all and not c.use_fpe and not c.two_stage and not c.dedup
+        assert c.evaluate_all and not c.two_stage and not c.dedup
+        assert c.dropout_keep is None
 
     def test_budget_carried_over(self):
-        c = nfs_config(TINY)
-        assert c.epochs_stage2 == TINY.epochs_stage2
-        assert c.steps_per_agent == TINY.steps_per_agent
+        base = AFEConfig(
+            epochs_stage1=2, epochs_stage2=3, steps_per_agent=5, max_order=4,
+            gamma=0.8, lam=0.7, thre=0.02, max_agents=6, max_state_features=12,
+            dropout_keep=0.3, two_stage=False, evaluate_all=True, dedup=False,
+            proposals_per_step=3, gate_keep=0.5, cv_k=4, cv_trees=5,
+            final_cv_k=3, final_cv_trees=2, accept_margin=0.01, seed=7,
+        )
+        assert all(getattr(base, f.name) != f.default for f in fields(AFEConfig))
+        c = nfs_config(base)
+        nfs_flags = {"dropout_keep", "two_stage", "evaluate_all", "dedup"}
+        for f in fields(AFEConfig):
+            if f.name not in nfs_flags:
+                assert getattr(c, f.name) == getattr(base, f.name), f.name
 
     def test_run(self, data):
         X, y = data
         r = run_nfs(X, y, "C", TINY)
         assert r.best_score >= r.base_score
         assert r.n_evaluated > 0
+
+
+class TestFinalReport:
+    def test_shared_base_score(self, data):
+        """Every RF method reports its kept originals under one final CV,
+        the one its config asks for."""
+        X, y = data
+        cfg = replace(TINY, final_cv_k=3, final_cv_trees=2)
+        runs = [
+            run_afe(X, y, "C", None, replace(cfg, dropout_keep=0.5)),
+            run_nfs(X, y, "C", cfg),
+            run_autofs_r(X, y, "C", cfg),
+        ]
+        for r in runs[1:]:
+            np.testing.assert_array_equal(r.kept_columns, runs[0].kept_columns)
+            assert r.base_score == runs[0].base_score
 
 
 class TestRandomPool:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.bench.datasets import ROSTER, TABLE1_DATASETS, by_name, load_dataset
 from repro.bench.harness import METHODS, replacement_scores, run_cell, run_grid, train_fpe_models
+from repro.bench.paper_numbers import table3_frame
 from repro.synth_data import make_tabular
 
 
@@ -55,11 +56,11 @@ class TestMethodRegistry:
         assert len(METHODS) == 11
 
     def test_variant_mapping(self):
-        assert METHODS["E-AFE"] == "ccws"
-        assert METHODS["E-AFE^L"] == "licws"
-        assert METHODS["E-AFE^P"] == "pcws"
-        assert METHODS["E-AFE^I"] == "icws"
-        assert METHODS["NFS"] is None
+        assert METHODS["E-AFE"].variant == "ccws"
+        assert METHODS["E-AFE^L"].variant == "licws"
+        assert METHODS["E-AFE^P"].variant == "pcws"
+        assert METHODS["E-AFE^I"].variant == "icws"
+        assert METHODS["NFS"].variant is None
 
 
 class TestReplacementScores:
@@ -123,3 +124,16 @@ class TestRunGrid:
         assert set(grid["dataset"]) == {"labor", "fertility"}
         assert (grid["score"] >= 0).all()
         assert grid["n_evaluated"].dtype.kind in "iu"
+        # Every Spark row equals the same cell run in this process, apart
+        # from the timings: the fan-out gives each task exactly its work.
+        timings = ["time_s", "gen_time", "eval_time"]
+        direct = pd.DataFrame(
+            [run_cell(m, by_name(d), fpe_models, seed=0)
+             for d, m in zip(grid["dataset"], grid["method"])]
+        )[grid.columns]
+        pd.testing.assert_frame_equal(
+            grid.drop(columns=timings), direct.drop(columns=timings),
+            check_dtype=False, check_exact=True,
+        )
+        # A renamed registry entry would silently empty a paper column.
+        assert set(METHODS) == set(table3_frame()["method"])

@@ -52,14 +52,14 @@ class TestEAFERun:
 
     def test_nfs_mode_evaluates_everything_kept(self, data):
         X, y = data
-        r = run_afe(X, y, "C", None, _cfg(use_fpe=False, evaluate_all=True,
-                                          two_stage=False, dedup=False))
+        r = run_afe(X, y, "C", None, _cfg(evaluate_all=True, two_stage=False,
+                                          dedup=False))
         # every generated (finite, non-degenerate) feature is evaluated
         assert r.n_evaluated == r.n_generated
 
     def test_dropout_mode(self, data):
         X, y = data
-        r = run_afe(X, y, "C", None, _cfg(use_fpe=False, dropout_keep=0.5))
+        r = run_afe(X, y, "C", None, _cfg(dropout_keep=0.5))
         assert r.n_evaluated < r.n_generated
 
     def test_single_stage_with_fpe(self, data, fpe):
@@ -69,8 +69,10 @@ class TestEAFERun:
 
     def test_missing_fpe_raises(self, data):
         X, y = data
-        with pytest.raises(ValueError):
-            run_afe(X, y, "C", None, TINY)
+        # E-AFE (two-stage) and E-AFE_R (single-stage) both gate on the FPE.
+        for cfg in (TINY, _cfg(two_stage=False)):
+            with pytest.raises(ValueError):
+                run_afe(X, y, "C", None, cfg)
 
     def test_deterministic_in_seed(self, data, fpe):
         X, y = data

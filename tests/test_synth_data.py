@@ -1,48 +1,8 @@
-"""Tests for the synthetic data generators (provided TPC-H-lite + ours)."""
+"""Tests for the synthetic tabular data generators."""
 import numpy as np
 import pytest
 
-from repro.synth_data import (
-    customer,
-    fpe_corpus,
-    lineitem,
-    make_tabular,
-    orders,
-    part,
-    tabular_spark,
-    uniform_keys,
-    zipf_keys,
-)
-
-
-class TestTpchLite:
-    def test_lineitem_schema_and_size(self, spark):
-        df = lineitem(spark, sf=0.001)
-        assert df.count() == 6000
-        assert "l_orderkey" in df.columns and "l_extendedprice" in df.columns
-
-    def test_orders_keys_sequential(self, spark):
-        df = orders(spark, sf=0.001).toPandas()
-        assert df["o_orderkey"].min() == 1
-        assert df["o_orderkey"].is_unique
-
-    def test_customer_and_part(self, spark):
-        assert customer(spark, sf=0.001).count() == 150
-        assert part(spark, sf=0.001).count() == 200
-
-    def test_deterministic_in_seed(self, spark):
-        a = lineitem(spark, sf=0.0005, seed=3).toPandas()
-        b = lineitem(spark, sf=0.0005, seed=3).toPandas()
-        assert a.equals(b)
-
-    def test_zipf_skew(self, spark):
-        df = zipf_keys(spark, n=20000, n_keys=100, alpha=1.5).toPandas()
-        counts = df["k"].value_counts()
-        assert counts.iloc[0] > 5 * counts.iloc[-1]
-
-    def test_uniform_keys_range(self, spark):
-        df = uniform_keys(spark, n=1000, n_keys=10).toPandas()
-        assert set(df["k"].unique()) <= set(range(1, 11))
+from repro.synth_data import fpe_corpus, make_tabular
 
 
 class TestMakeTabular:
@@ -89,11 +49,6 @@ class TestMakeTabular:
     def test_informative_clipped_to_features(self):
         X, y = make_tabular(task="C", n_samples=100, n_features=3, n_informative=50, seed=5)
         assert X.shape[1] == 3
-
-    def test_spark_rendering(self, spark):
-        df = tabular_spark(spark, task="C", n_samples=50, n_features=4, seed=6)
-        assert df.count() == 50
-        assert "label" in df.columns
 
 
 class TestFpeCorpus:
