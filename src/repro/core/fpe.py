@@ -39,10 +39,14 @@ __all__ = ["feature_signature", "label_corpus", "FPEModel"]
 DEFAULT_D_OPTIONS = (16, 32, 48, 64)
 
 
-def _minmax01(v: np.ndarray) -> np.ndarray:
+def _minmax01_at(v: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Rows ``idx`` of ``v`` min-max scaled per column over all rows, with
+    NaN/±inf read as 0; a constant column scales to 0. Only the selected
+    rows are normalised."""
     v = np.nan_to_num(np.asarray(v, dtype=np.float64), nan=0.0, posinf=0.0, neginf=0.0)
-    lo, hi = v.min(), v.max()
-    return (v - lo) / (hi - lo) if hi > lo else np.zeros_like(v)
+    lo, hi = v.min(axis=0), v.max(axis=0)
+    # A constant column has v - lo == 0, so dividing by 1 gives the 0.
+    return (v[idx] - lo) / np.where(hi > lo, hi - lo, 1.0)
 
 
 def _safe_corr(a: np.ndarray, b: np.ndarray) -> float:
@@ -78,9 +82,7 @@ def feature_signature(
     features (observed failure; see DESIGN.md §3).
     """
     idx = select_indices(x, d, variant, seed)
-    xn = _minmax01(x)
-    yn = _minmax01(np.asarray(y, dtype=np.float64))
-    xs_raw, ys_raw = xn[idx], yn[idx]
+    xs_raw, ys_raw = _minmax01_at(x, idx), _minmax01_at(y, idx)
     # Canonicalize the arbitrary hash-slot order by sorting on the
     # feature value: a feature that relates to the target then shows a
     # stable trend in the label block, which a small classifier can
@@ -91,13 +93,11 @@ def feature_signature(
     pos = np.linspace(0.0, 1.0, len(xs))
     cr = _safe_corr(pos, ys)  # rank alignment with the label
     red_max, red_mean = 0.0, 0.0
-    if context is not None and context.shape[1] > (1 if exclude is not None else 0):
-        rs = []
-        for j in range(context.shape[1]):
-            if j == exclude:
-                continue
-            rs.append(abs(_safe_corr(xs_raw, _minmax01(context[:, j])[idx])))
-        if rs:
+    if context is not None:
+        keep = [j for j in range(context.shape[1]) if j != exclude]
+        if keep:
+            cs = _minmax01_at(context[:, keep], idx)
+            rs = [abs(_safe_corr(xs_raw, col)) for col in cs.T]
             red_max, red_mean = float(max(rs)), float(np.mean(rs))
     return np.concatenate(
         [xs, ys, xs * ys, [c, abs(c), cr, abs(cr), red_max, red_mean]]

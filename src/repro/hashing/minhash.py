@@ -32,6 +32,8 @@ sample compressors. DESIGN.md §7 documents this.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 VARIANTS = ("minhash", "icws", "licws", "pcws", "ccws")
@@ -55,38 +57,43 @@ def _normalize_weights(x: np.ndarray) -> np.ndarray:
     return w / m if m > 0 else np.full_like(w, 1e-9)
 
 
+@functools.lru_cache(maxsize=4)
 def _draws(d: int, m: int, seed: int) -> tuple[np.ndarray, ...]:
-    """Deterministic per-(hash k, index i) random draws, shape (d, m) each.
+    """Deterministic per-(hash k, index i) draws and the weight-independent
+    terms built from them, shape (d, m) each: uniforms ``u1, u3, u4`` and
+    ``r = -ln(u1 u2)``, ``c = -ln(u4 roll(u4))`` (both Gamma(2,1)).
 
     The draws depend only on (seed, k, i) — never on the weights — which
     is what makes the selection *consistent* across features and hence
-    similarity-preserving.
+    similarity-preserving. Every feature of a dataset hashes with the
+    same (d, m, seed), so the arrays are cached (a few datasets' worth)
+    and made read-only, since every caller shares them.
     """
     g = np.random.default_rng(seed)
     u1 = g.random((d, m))
     u2 = g.random((d, m))
     u3 = g.random((d, m))
     u4 = g.random((d, m))
-    return u1, u2, u3, u4
+    r = -np.log(u1 * u2)
+    c = -np.log(u4 * np.roll(u4, 1, axis=1))
+    out = (u1, u3, u4, r, c)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def _scores(w: np.ndarray, d: int, variant: str, seed: int) -> np.ndarray:
     """Matrix a[k, i]; per hash k the argmin_i is the selected sample."""
-    m = len(w)
-    u1, u2, u3, u4 = _draws(d, m, seed)
+    u1, b, u4, r, c = _draws(d, len(w), seed)
     if variant == "minhash":
         return u1
-    # Gamma(2,1) via inverse of the product of two uniforms.
-    r = -np.log(u1 * u2)
-    b = u3
     lw = np.log(w)[None, :]
     if variant in ("icws", "licws", "pcws"):
         t = np.floor(lw / r + b)
         ln_y = r * (t - b)
         # ln a = ln c - ln y - r ; argmin in log space is the same argmin.
         if variant == "icws":
-            ln_c = np.log(-np.log(u4 * np.roll(u4, 1, axis=1)))  # Gamma(2,1)
-            return ln_c - ln_y - r
+            return np.log(c) - ln_y - r  # c ~ Gamma(2,1)
         if variant == "licws":
             return -ln_y - r
         # pcws: single exponential in place of the gamma.
@@ -94,7 +101,6 @@ def _scores(w: np.ndarray, d: int, variant: str, seed: int) -> np.ndarray:
     if variant == "ccws":
         t = np.floor(w[None, :] / r + b)
         y = r * (t - b)
-        c = -np.log(u4 * np.roll(u4, 1, axis=1))
         return c / (y + r)
     raise ValueError(f"unknown MinHash variant {variant!r}; choose from {VARIANTS}")
 

@@ -11,13 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 from .metrics import score as metric_score
-from .tree import DecisionTree
+from .tree import DecisionTree, apply_bins, bin_features, finite
 
 __all__ = ["RandomForest", "kfold_indices", "cross_val_score"]
 
 
 class RandomForest:
-    """Bagged histogram-CART ensemble; deterministic in ``seed``."""
+    """Bagged histogram-CART ensemble over one binning; deterministic in ``seed``."""
 
     def __init__(
         self,
@@ -43,16 +43,22 @@ class RandomForest:
         return self.max_features
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForest":
-        X = np.asarray(X, dtype=np.float64)
+        """Bin ``X`` once and encode the classes once; every tree then
+        fits on the bin codes and class indices of its bootstrap rows."""
+        X = finite(X)
         y = np.asarray(y)
         rng = np.random.default_rng(self.seed)
         mf = self._resolve_max_features(X.shape[1])
-        self.trees_: list[DecisionTree] = []
+        self.edges_ = bin_features(X, self.n_bins)
+        Xb = apply_bins(X, self.edges_)
+        classes = None
         if self.task == "C":
-            self.classes_ = np.unique(y)
+            self.classes_, y = np.unique(y, return_inverse=True)
+            classes = self.classes_
+        self.trees_: list[DecisionTree] = []
         for t in range(self.n_trees):
             boot = rng.integers(0, len(y), len(y))
-            if self.task == "C" and len(np.unique(y[boot])) < 2:
+            if self.task == "C" and np.ptp(y[boot]) == 0:
                 boot = np.arange(len(y))  # degenerate bootstrap: fall back
             tree = DecisionTree(
                 task=self.task,
@@ -62,7 +68,7 @@ class RandomForest:
                 n_bins=self.n_bins,
                 seed=self.seed * 1000 + t,
             )
-            tree.fit(X[boot], y[boot])
+            tree.fit(Xb[boot], y[boot], edges=self.edges_, classes=classes)
             self.trees_.append(tree)
         imp = np.sum([t.feature_importances_ for t in self.trees_], axis=0)
         total = imp.sum()
@@ -70,16 +76,14 @@ class RandomForest:
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
+        """Bin ``X`` once; each tree maps the codes to its leaves' values.
+        Classification sums the trees' class fractions (all trees share
+        the forest's class encoding) and takes the argmax."""
+        Xb = apply_bins(finite(X), self.edges_)
+        total = sum(tree.value_[tree.apply(Xb)] for tree in self.trees_)
         if self.task == "C":
-            # Average per-tree class distributions over the union of classes.
-            probs = np.zeros((len(X), len(self.classes_)))
-            cls_pos = {c: i for i, c in enumerate(self.classes_)}
-            for tree in self.trees_:
-                p = tree.predict_proba(X)
-                cols = [cls_pos[c] for c in tree.classes_]
-                probs[:, cols] += p
-            return self.classes_[np.argmax(probs, axis=1)]
-        return np.mean([t.predict(X) for t in self.trees_], axis=0)
+            return self.classes_[np.argmax(total, axis=1)]
+        return total / len(self.trees_)
 
 
 def kfold_indices(

@@ -2,11 +2,18 @@
 
 This is the substrate under ``repro.ml.forest`` — the paper's downstream
 evaluation task is Random-Forest cross-validation, and the box has no
-sklearn, so the tree is built from scratch. Features are quantile-binned
-to uint8 once per fit; split search is a vectorized histogram scan
-(one ``np.add.at`` per node over all features), which keeps a fit on
-2000 x 64 data in the low milliseconds — essential because AFE evaluates
-hundreds of candidate features per epoch.
+sklearn, so the tree is built from scratch, after the ``hist`` tree
+method of LightGBM and XGBoost. Features are quantile-binned to uint8
+codes; ``RandomForest`` bins once per forest fit and hands every tree
+the codes of its bootstrap rows. A tree grows level by level: at each
+depth the frontier's nodes draw their candidate features (one draw for
+the whole level, nodes in breadth-first order), one ``np.bincount``
+builds every (node, candidate, bin, class) histogram (three for
+regression: count, sum, sum of squares), and a vectorised scan picks
+each node's best split. No Python runs per node, so a depth-6 fit costs
+a fixed few dozen numpy calls per level (a few milliseconds on 667 x 34
+codes) — essential because AFE evaluates hundreds of candidate features
+per epoch.
 """
 from __future__ import annotations
 
@@ -37,8 +44,26 @@ def apply_bins(X: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return out
 
 
+def finite(X: np.ndarray) -> np.ndarray:
+    """``X`` as float64 with NaN and ±inf replaced by 0 (before binning)."""
+    return np.nan_to_num(np.asarray(X, dtype=np.float64), nan=0.0, posinf=0.0, neginf=0.0)
+
+
+def _impurity(s: np.ndarray, task: str) -> tuple[np.ndarray, np.ndarray]:
+    """Row count and count-weighted impurity of sufficient statistics.
+
+    Axis 0 of ``s`` holds class counts ('C': the weighted impurity is
+    n·gini) or (count, sum, sum of squares) ('R': the sum of squared
+    errors).
+    """
+    if task == "C":
+        n = s.sum(0)
+        return n, n - (s * s).sum(0) / np.maximum(n, 1)
+    return s[0], s[2] - s[1] ** 2 / np.maximum(s[0], 1)
+
+
 class DecisionTree:
-    """CART over pre-binned features.
+    """CART over quantile-binned features, grown level by level.
 
     Parameters
     ----------
@@ -46,6 +71,13 @@ class DecisionTree:
     max_depth, min_leaf : usual stopping rules.
     max_features : number of candidate features per node (random-forest
         style column subsampling); ``None`` means all.
+
+    After ``fit`` the tree is a set of flat per-node arrays in
+    breadth-first order (node 0 is the root): ``feature_`` (-1 at a
+    leaf), ``threshold_`` (a row goes left when its bin code is
+    ``<= threshold_``), ``left_``/``right_`` (a leaf points to itself)
+    and ``value_`` — class fractions, shape (nodes, classes), or the
+    mean target, shape (nodes,).
     """
 
     def __init__(
@@ -65,156 +97,172 @@ class DecisionTree:
         self.max_features = max_features
         self.n_bins = n_bins
         self.seed = seed
-        self._edges: np.ndarray | None = None
-        self.n_classes_ = 0
 
     # -- fitting -----------------------------------------------------------
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTree":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y)
-        X = np.nan_to_num(X, nan=0.0, posinf=0.0, neginf=0.0)
-        self._edges = bin_features(X, self.n_bins)
-        Xb = apply_bins(X, self._edges)
-        if self.task == "C":
-            self.classes_, y_enc = np.unique(y, return_inverse=True)
-            self.n_classes_ = len(self.classes_)
-        else:
-            y_enc = y.astype(np.float64)
-        self._rng = np.random.default_rng(self.seed)
-        self.feature_importances_ = np.zeros(X.shape[1])
-        # Flat array representation: feature, threshold-bin, child ids, value.
-        self._feat: list[int] = []
-        self._thr: list[int] = []
-        self._left: list[int] = []
-        self._right: list[int] = []
-        self._value: list[np.ndarray | float] = []
-        self._grow(Xb, y_enc, np.arange(len(y_enc)), depth=0)
-        self._feat_a = np.array(self._feat, dtype=np.int32)
-        self._thr_a = np.array(self._thr, dtype=np.int32)
-        self._left_a = np.array(self._left, dtype=np.int32)
-        self._right_a = np.array(self._right, dtype=np.int32)
-        return self
+    def fit(
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        edges: np.ndarray | None = None,
+        classes: np.ndarray | None = None,
+    ) -> "DecisionTree":
+        """Fit on raw ``X``, or on bin codes when ``edges`` is given.
 
-    def _leaf_value(self, y: np.ndarray):
-        if self.task == "C":
-            return np.bincount(y, minlength=self.n_classes_) / len(y)
-        return float(y.mean())
-
-    def _new_node(self) -> int:
-        self._feat.append(_LEAF)
-        self._thr.append(0)
-        self._left.append(_LEAF)
-        self._right.append(_LEAF)
-        self._value.append(0.0)
-        return len(self._feat) - 1
-
-    def _grow(self, Xb: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int) -> int:
-        node = self._new_node()
-        y_node = y[idx]
-        self._value[node] = self._leaf_value(y_node)
-        if depth >= self.max_depth or len(idx) < 2 * self.min_leaf:
-            return node
-        if self.task == "C" and len(np.unique(y_node)) == 1:
-            return node
-        split = self._best_split(Xb[idx], y_node)
-        if split is None:
-            return node
-        f, b, gain = split
-        go_left = Xb[idx, f] <= b
-        left_idx, right_idx = idx[go_left], idx[~go_left]
-        if len(left_idx) < self.min_leaf or len(right_idx) < self.min_leaf:
-            return node
-        # Impurity-decrease importance, weighted by the node's sample share.
-        self.feature_importances_[f] += gain * len(idx)
-        self._feat[node] = f
-        self._thr[node] = b
-        self._left[node] = self._grow(Xb, y, left_idx, depth + 1)
-        self._right[node] = self._grow(Xb, y, right_idx, depth + 1)
-        return node
-
-    def _candidate_features(self, n_features: int) -> np.ndarray:
-        if self.max_features is None or self.max_features >= n_features:
-            return np.arange(n_features)
-        return self._rng.choice(n_features, size=self.max_features, replace=False)
-
-    def _best_split(self, Xb: np.ndarray, y: np.ndarray):
+        With ``edges``, ``X`` holds the ``apply_bins(X, edges)`` codes
+        (``RandomForest`` bins once and passes each tree its bootstrap
+        rows). With ``classes`` (classification), ``y`` holds indices
+        into ``classes`` instead of labels.
+        """
+        if edges is None:
+            X = finite(X)
+            edges = bin_features(X, self.n_bins)
+            X = apply_bins(X, edges)
+        self.edges_ = edges
+        Xb = np.ascontiguousarray(X)
         n, n_features = Xb.shape
-        feats = self._candidate_features(n_features)
-        Xs = Xb[:, feats]
-        nf = len(feats)
+        n_bins = edges.shape[1] + 1
         if self.task == "C":
-            counts = np.zeros((nf, self.n_bins, self.n_classes_))
-            np.add.at(
-                counts,
-                (np.broadcast_to(np.arange(nf), (n, nf)), Xs, y[:, None]),
-                1.0,
-            )
-            left = np.cumsum(counts, axis=1)[:, :-1, :]  # (nf, bins-1, C)
-            total = counts.sum(axis=1, keepdims=True)  # (nf, 1, C)
-            right = total - left
-            ln = left.sum(-1)  # (nf, bins-1)
-            rn = right.sum(-1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gl = 1.0 - np.sum((left / np.maximum(ln, 1)[..., None]) ** 2, -1)
-                gr = 1.0 - np.sum((right / np.maximum(rn, 1)[..., None]) ** 2, -1)
-            impurity = (ln * gl + rn * gr) / n
-            p = total[:, 0, :] / n
-            parent = 1.0 - np.sum(p**2, -1)[0]
+            if classes is None:
+                classes, y = np.unique(y, return_inverse=True)
+            self.classes_ = np.asarray(classes)
+            y = np.asarray(y, dtype=np.intp)
+            k = len(self.classes_)
+            root = np.bincount(y, minlength=k).astype(np.float64)
         else:
-            s1 = np.zeros((nf, self.n_bins))
-            s2 = np.zeros((nf, self.n_bins))
-            cnt = np.zeros((nf, self.n_bins))
-            fidx = np.broadcast_to(np.arange(nf), (n, nf))
-            np.add.at(s1, (fidx, Xs), y[:, None])
-            np.add.at(s2, (fidx, Xs), (y**2)[:, None])
-            np.add.at(cnt, (fidx, Xs), 1.0)
-            ln = np.cumsum(cnt, 1)[:, :-1]
-            l1 = np.cumsum(s1, 1)[:, :-1]
-            l2 = np.cumsum(s2, 1)[:, :-1]
-            tn, t1, t2 = cnt.sum(1, keepdims=True), s1.sum(1, keepdims=True), s2.sum(1, keepdims=True)
-            rn, r1, r2 = tn - ln, t1 - l1, t2 - l2
-            with np.errstate(divide="ignore", invalid="ignore"):
-                var_l = l2 - l1**2 / np.maximum(ln, 1)
-                var_r = r2 - r1**2 / np.maximum(rn, 1)
-            impurity = (var_l + var_r) / n
-            parent = float(y.var())
-        valid = (ln >= self.min_leaf) & (rn >= self.min_leaf)
-        if not valid.any():
-            return None
-        impurity = np.where(valid, impurity, np.inf)
-        fi, bi = np.unravel_index(np.argmin(impurity), impurity.shape)
-        gain = parent - impurity[fi, bi]
-        if gain <= 1e-12:
-            return None
-        return int(feats[fi]), int(bi), float(gain)
+            y = np.asarray(y, dtype=np.float64)
+            mean = y.mean()
+            y = y - mean  # centred, so the sums of squares keep their precision
+            k = 3
+            root = np.array([n, y.sum(), (y * y).sum()])
+        mf = n_features
+        if self.max_features is not None:
+            mf = min(self.max_features, n_features)
+        rng = np.random.default_rng(self.seed)
+        importances = np.zeros(n_features)
+
+        # Per level: node stats (k, width), split feature / bin, child ids.
+        stats, feats, thrs, lefts, rights = [root[:, None]], [], [], [], []
+        rows = np.arange(n)  # rows still in a splittable node ...
+        pos = np.zeros(n, dtype=np.intp)  # ... and that node's frontier index
+        first = 0  # node id of the frontier's first node
+        for depth in range(self.max_depth + 1):
+            S = stats[-1]
+            width = S.shape[1]
+            feat = np.full(width, _LEAF, dtype=np.intp)
+            thr = np.zeros(width, dtype=np.intp)
+            left_id = np.arange(first, first + width)  # a leaf points to itself
+            right_id = left_id.copy()
+            feats.append(feat)
+            thrs.append(thr)
+            lefts.append(left_id)
+            rights.append(right_id)
+            if depth == self.max_depth:
+                break
+            nn, sse = _impurity(S, self.task)
+            open_ = nn >= 2 * self.min_leaf
+            if self.task == "C":
+                open_ &= S.max(0) < nn  # a pure node stays a leaf
+            cand = np.flatnonzero(open_)
+            if len(cand) == 0:
+                break
+            # Keep the rows of the open nodes, renumbered 0..P-1.
+            P = len(cand)
+            at = np.full(width, -1)
+            at[cand] = np.arange(P)
+            pos = at[pos]
+            rows, pos = rows[pos >= 0], pos[pos >= 0]
+            if mf < n_features:
+                fs = np.argsort(rng.random((P, n_features)), axis=1)[:, :mf]
+            else:
+                fs = np.broadcast_to(np.arange(n_features), (P, n_features))
+            # One histogram over (stat, bin, node, candidate); the stat and
+            # bin axes lead so that the sums over them add whole slabs.
+            codes = np.take(Xb, rows[:, None] * n_features + fs[pos]).astype(np.intp)
+            cell = (codes * P + pos[:, None]) * mf + np.arange(mf)
+            size = n_bins * P * mf
+            if self.task == "C":
+                hist = np.bincount((y[rows, None] * size + cell).ravel(), minlength=k * size)
+            else:
+                cell = cell.ravel()
+                yr = np.repeat(y[rows], mf)
+                hist = np.concatenate(
+                    [
+                        np.bincount(cell, minlength=size),
+                        np.bincount(cell, weights=yr, minlength=size),
+                        np.bincount(cell, weights=yr * yr, minlength=size),
+                    ]
+                )
+            hist = hist.reshape(k, n_bins, P, mf)
+            left = np.cumsum(hist, axis=1, dtype=np.float64)[:, :-1]
+            right = S[:, None, cand, None] - left
+            ln, lsse = _impurity(left, self.task)
+            rn, rsse = _impurity(right, self.task)
+            child = np.where((ln >= self.min_leaf) & (rn >= self.min_leaf), lsse + rsse, np.inf)
+            # Per node, candidates in draw order, then bins: ties go to the
+            # first candidate, then the lowest bin.
+            child = child.transpose(1, 2, 0).reshape(P, -1)
+            best = np.argmin(child, axis=1)
+            gain_n = sse[cand] - child[np.arange(P), best]  # gain x node rows
+            split = np.flatnonzero(gain_n > 1e-12 * nn[cand])
+            if len(split) == 0:
+                break
+            j, b = np.divmod(best[split], n_bins - 1)
+            f = fs[split, j]
+            node = cand[split]
+            feat[node] = f
+            thr[node] = b
+            left_id[node] = first + width + 2 * np.arange(len(split))
+            right_id[node] = left_id[node] + 1
+            np.add.at(importances, f, gain_n[split])
+            # Children in breadth-first order: left, right per split node.
+            pair = np.stack([left[:, b, split, j], right[:, b, split, j]], 2)
+            stats.append(pair.reshape(k, -1))
+            # Route the rows of the split nodes to their children.
+            at = np.full(P, -1)
+            at[split] = np.arange(len(split))
+            pos = at[pos]
+            rows, pos = rows[pos >= 0], pos[pos >= 0]
+            go_right = np.take(Xb, rows * n_features + f[pos]) > b[pos]
+            pos = 2 * pos + go_right
+            first += width
+
+        self.feature_ = np.concatenate(feats)
+        self.threshold_ = np.concatenate(thrs)
+        self.left_ = np.concatenate(lefts)
+        self.right_ = np.concatenate(rights)
+        S = np.concatenate(stats, axis=1)
+        if self.task == "C":
+            self.value_ = (S / np.maximum(S.sum(0), 1)).T
+        else:
+            self.value_ = mean + S[1] / np.maximum(S[0], 1)
+        self.depth_ = len(stats) - 1
+        self.feature_importances_ = importances
+        return self
 
     # -- prediction --------------------------------------------------------
 
-    def _leaf_of(self, Xb: np.ndarray) -> np.ndarray:
-        node = np.zeros(len(Xb), dtype=np.int32)
-        active = self._feat_a[node] != _LEAF
-        while active.any():
-            cur = node[active]
-            f = self._feat_a[cur]
-            go_left = Xb[active, f] <= self._thr_a[cur]
-            node[active] = np.where(go_left, self._left_a[cur], self._right_a[cur])
-            active = self._feat_a[node] != _LEAF
+    def apply(self, Xb: np.ndarray) -> np.ndarray:
+        """Leaf id of every row of bin codes ``Xb``."""
+        node = np.zeros(len(Xb), dtype=np.intp)
+        r = np.arange(len(Xb))
+        # Leaves point to themselves, so depth_ steps land every row on its
+        # leaf; at a leaf, feature_ = -1 reads a column nobody uses.
+        for _ in range(self.depth_):
+            go_left = Xb[r, self.feature_[node]] <= self.threshold_[node]
+            node = np.where(go_left, self.left_[node], self.right_[node])
         return node
+
+    def _leaf_values(self, X: np.ndarray) -> np.ndarray:
+        return self.value_[self.apply(apply_bins(finite(X), self.edges_))]
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Class-probability matrix (classification only)."""
         if self.task != "C":
             raise ValueError("predict_proba is classification-only")
-        X = np.nan_to_num(np.asarray(X, dtype=np.float64), nan=0.0, posinf=0.0, neginf=0.0)
-        Xb = apply_bins(X, self._edges)
-        leaves = self._leaf_of(Xb)
-        return np.stack([np.asarray(self._value[i]) for i in leaves])
+        return self._leaf_values(X)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self.task == "C":
             return self.classes_[np.argmax(self.predict_proba(X), axis=1)]
-        X = np.nan_to_num(np.asarray(X, dtype=np.float64), nan=0.0, posinf=0.0, neginf=0.0)
-        Xb = apply_bins(X, self._edges)
-        leaves = self._leaf_of(Xb)
-        return np.array([self._value[i] for i in leaves], dtype=np.float64)
+        return self._leaf_values(X)

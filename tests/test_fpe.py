@@ -83,6 +83,74 @@ class TestSignature:
         assert sig[: 3 * 16].min() >= 0.0 and sig[: 3 * 16].max() <= 1.0
 
 
+def _reference_signature(x, y, d, variant, seed, context=None, exclude=None):
+    """The signature with every column min-max scaled over all M rows
+    before the d selected rows are taken."""
+    from repro.core.fpe import _safe_corr
+    from repro.hashing.minhash import select_indices
+
+    def minmax01(v):
+        v = np.nan_to_num(np.asarray(v, dtype=np.float64), nan=0.0, posinf=0.0, neginf=0.0)
+        lo, hi = v.min(), v.max()
+        return (v - lo) / (hi - lo) if hi > lo else np.zeros_like(v)
+
+    idx = select_indices(x, d, variant, seed)
+    xs_raw, ys_raw = minmax01(x)[idx], minmax01(np.asarray(y, dtype=np.float64))[idx]
+    order = np.argsort(xs_raw, kind="stable")
+    xs, ys = xs_raw[order], ys_raw[order]
+    c = _safe_corr(xs, ys)
+    cr = _safe_corr(np.linspace(0.0, 1.0, len(xs)), ys)
+    red_max, red_mean = 0.0, 0.0
+    if context is not None:
+        rs = [
+            abs(_safe_corr(xs_raw, minmax01(context[:, j])[idx]))
+            for j in range(context.shape[1])
+            if j != exclude
+        ]
+        if rs:
+            red_max, red_mean = float(max(rs)), float(np.mean(rs))
+    return np.concatenate([xs, ys, xs * ys, [c, abs(c), cr, abs(cr), red_max, red_mean]])
+
+
+class TestSignatureExact:
+    """``feature_signature`` scales only the d selected rows; the result
+    equals scaling every row first, bit for bit."""
+
+    @pytest.fixture()
+    def data(self):
+        rng = np.random.default_rng(11)
+        M = 400
+        context = np.c_[
+            rng.normal(size=M),
+            np.full(M, 3.5),  # constant column
+            rng.exponential(size=M) * 1e6,
+            rng.integers(0, 3, M).astype(float),
+        ]
+        context[5, 0] = np.nan
+        context[9, 2] = np.inf
+        x = context[:, 0] * 2.0 + rng.normal(size=M)
+        x[17] = np.nan
+        y = (rng.normal(size=M) + np.nan_to_num(x) > 0).astype(int)
+        return x, y, context
+
+    @pytest.mark.parametrize("variant", ["ccws", "icws", "minhash"])
+    @pytest.mark.parametrize("exclude", [None, 0, 1])
+    def test_equals_full_column_scaling(self, data, variant, exclude):
+        x, y, context = data
+        for d in (16, 48):
+            np.testing.assert_array_equal(
+                feature_signature(x, y, "C", d, variant, 3, context=context, exclude=exclude),
+                _reference_signature(x, y, d, variant, 3, context=context, exclude=exclude),
+            )
+
+    def test_regression_target_and_no_context(self, data):
+        x, _, context = data
+        y = context[:, 2]  # holds an inf, read as 0
+        np.testing.assert_array_equal(
+            feature_signature(x, y, "R", 32), _reference_signature(x, y, 32, "ccws", 0)
+        )
+
+
 class TestRandomSpec:
     def test_orders_respected(self):
         rng = np.random.default_rng(0)

@@ -133,3 +133,69 @@ class TestMatrixAndJaccard:
         rng = np.random.default_rng(seed)
         a, b = rng.normal(size=40), rng.normal(size=40)
         assert weighted_jaccard(a, b) == pytest.approx(weighted_jaccard(b, a))
+
+
+def _reference_select(x, d, variant, seed):
+    """The uncached formulas, written out in full: every draw and every
+    weight-independent term is recomputed on each call."""
+    from repro.hashing.minhash import _normalize_weights
+
+    w = _normalize_weights(x)
+    m = len(w)
+    g = np.random.default_rng(seed)
+    u1, u2, u3, u4 = (g.random((d, m)) for _ in range(4))
+    if variant == "minhash":
+        a = u1
+    else:
+        r = -np.log(u1 * u2)
+        b = u3
+        lw = np.log(w)[None, :]
+        if variant in ("icws", "licws", "pcws"):
+            t = np.floor(lw / r + b)
+            ln_y = r * (t - b)
+            if variant == "icws":
+                a = np.log(-np.log(u4 * np.roll(u4, 1, axis=1))) - ln_y - r
+            elif variant == "licws":
+                a = -ln_y - r
+            else:
+                a = np.log(-np.log(u4)) - ln_y - r
+        else:
+            t = np.floor(w[None, :] / r + b)
+            y = r * (t - b)
+            a = -np.log(u4 * np.roll(u4, 1, axis=1)) / (y + r)
+    return np.argmin(a, axis=1)
+
+
+class TestCachedDraws:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_equals_uncached_formulas(self, variant):
+        rng = np.random.default_rng(5)
+        cols = [
+            rng.normal(size=700),
+            np.abs(rng.standard_cauchy(size=700)),
+            np.r_[np.full(350, 2.0), rng.normal(size=350)],
+            np.array([1.0, np.nan, np.inf, -3.0] * 50),
+        ]
+        # Repeated (d, M, seed) keys hit the cache; the 33-row column and
+        # the seeds cycle it.
+        for seed in (0, 7, 0):
+            for x in cols + [rng.normal(size=33)]:
+                for d in (16, 48):
+                    np.testing.assert_array_equal(
+                        select_indices(x, d, variant, seed), _reference_select(x, d, variant, seed)
+                    )
+
+    def test_cached_arrays_read_only(self):
+        from repro.hashing.minhash import _draws
+
+        for a in _draws(8, 50, 3):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 0.0
+
+    def test_cache_bounded(self):
+        from repro.hashing.minhash import _draws
+
+        for m in range(40, 60):
+            _draws(4, m, 0)
+        assert _draws.cache_info().currsize <= _draws.cache_info().maxsize

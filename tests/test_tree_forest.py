@@ -183,3 +183,168 @@ class TestCrossVal:
     def test_deterministic(self, clf_data):
         X, y = clf_data
         assert cross_val_score(X, y, "C", seed=5) == cross_val_score(X, y, "C", seed=5)
+
+
+def _brute_force_root(Xb, y, task, min_leaf):
+    """Every (feature, bin) split of the root, scored from scratch:
+    returns {(f, b): rows-weighted child impurity}."""
+    def impurity(v):
+        if task == "C":
+            p = np.bincount(v) / len(v)
+            return 1.0 - np.sum(p**2)
+        return v.var()
+
+    out = {}
+    for f in range(Xb.shape[1]):
+        for b in range(int(Xb[:, f].max())):
+            go_left = Xb[:, f] <= b
+            nl = int(go_left.sum())
+            if nl < min_leaf or len(y) - nl < min_leaf:
+                continue
+            out[(f, b)] = nl * impurity(y[go_left]) + (len(y) - nl) * impurity(y[~go_left])
+    return out
+
+
+def _node_depths(tree):
+    depth = np.zeros(len(tree.feature_), dtype=int)
+    for node in range(len(tree.feature_)):  # breadth-first: parents come first
+        if tree.feature_[node] >= 0:
+            depth[tree.left_[node]] = depth[tree.right_[node]] = depth[node] + 1
+    return depth
+
+
+class TestLevelWiseTree:
+    @pytest.mark.parametrize("task", ["C", "R"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_root_split_is_brute_force_optimum(self, task, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(300, 5))
+        if task == "C":
+            y = (X[:, 2] + 0.7 * rng.normal(size=300) > 0.3).astype(int)
+        else:
+            y = np.sin(2 * X[:, 3]) + 0.3 * rng.normal(size=300)
+        t = DecisionTree(task=task, max_depth=3, min_leaf=4, max_features=None).fit(X, y)
+        cands = _brute_force_root(apply_bins(X, t.edges_), y, task, 4)
+        best = min(cands, key=cands.get)
+        runner_up = sorted(cands.values())[1]
+        assert runner_up - cands[best] > 1e-9  # the optimum is unique
+        assert (t.feature_[0], t.threshold_[0]) == best
+        # A stump's importance is the root's gain x rows.
+        stump = DecisionTree(task=task, max_depth=1, min_leaf=4).fit(X, y)
+        parent = len(y) * (1.0 - np.sum((np.bincount(y) / len(y)) ** 2) if task == "C" else y.var())
+        assert stump.feature_importances_.sum() == pytest.approx(parent - cands[best], rel=1e-9)
+
+    @pytest.mark.parametrize("task", ["C", "R"])
+    def test_leaves_respect_min_leaf_and_max_depth(self, task):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(500, 7))
+        y = (X[:, 0] * X[:, 1] > 0).astype(int) if task == "C" else X[:, 0] * X[:, 1]
+        for max_depth, min_leaf in ((4, 5), (7, 2), (2, 40)):
+            t = DecisionTree(task, max_depth, min_leaf, max_features=3, seed=1).fit(X, y)
+            counts = np.bincount(t.apply(apply_bins(X, t.edges_)), minlength=len(t.feature_))
+            leaf = t.feature_ < 0
+            assert (counts[leaf] >= min_leaf).all()
+            assert (counts[~leaf] == 0).all()  # every row ends at a leaf
+            assert _node_depths(t).max() <= max_depth
+            assert t.depth_ == _node_depths(t).max()
+
+    def test_leaf_values_are_training_rows_of_the_leaf(self):
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(400, 4))
+        y = X[:, 0] + 10.0 * (X[:, 1] > 0) + 1e6  # large offset: exercise precision
+        t = DecisionTree("R", max_depth=5, min_leaf=3).fit(X, y)
+        leaves = t.apply(apply_bins(X, t.edges_))
+        for node in np.unique(leaves):
+            assert t.value_[node] == pytest.approx(y[leaves == node].mean(), rel=1e-12)
+
+    def test_regression_target_with_large_offset(self, reg_data):
+        X, y = reg_data
+        t = DecisionTree(task="R", max_depth=6).fit(X, y + 1e9)
+        resid = y + 1e9 - t.predict(X)
+        assert resid.var() < 0.3 * y.var()
+
+    def test_forest_fit_bins_once(self, monkeypatch, clf_data):
+        import repro.ml.forest as forest_mod
+        import repro.ml.tree as tree_mod
+
+        calls = []
+        orig = tree_mod.bin_features
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(tree_mod, "bin_features", counting)
+        monkeypatch.setattr(forest_mod, "bin_features", counting)
+        X, y = clf_data
+        RandomForest(task="C", n_trees=5).fit(X, y)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("task", ["C", "R"])
+    def test_forest_predict_averages_its_trees(self, task, clf_data, reg_data):
+        X, y = clf_data if task == "C" else reg_data
+        y = np.where(y == 1, "yes", "no") if task == "C" else y
+        rf = RandomForest(task=task, n_trees=4, seed=2).fit(X[:300], y[:300])
+        if task == "C":
+            p = sum(t.predict_proba(X[300:]) for t in rf.trees_)
+            expected = rf.classes_[np.argmax(p, axis=1)]
+            np.testing.assert_array_equal(rf.predict(X[300:]), expected)
+        else:
+            expected = np.mean([t.predict(X[300:]) for t in rf.trees_], axis=0)
+            np.testing.assert_allclose(rf.predict(X[300:]), expected, rtol=1e-12)
+
+    def test_tree_on_codes_equals_tree_on_raw(self, clf_data):
+        X, y = clf_data
+        edges = bin_features(X)
+        a = DecisionTree("C", seed=5, max_features=2).fit(X, y)
+        b = DecisionTree("C", seed=5, max_features=2).fit(
+            apply_bins(X, edges), y, edges=edges, classes=np.unique(y)
+        )
+        for attr in ("feature_", "threshold_", "left_", "right_", "value_"):
+            np.testing.assert_array_equal(getattr(a, attr), getattr(b, attr))
+
+
+class TestCrossValDegenerate:
+    """Degenerate inputs still give a finite score."""
+
+    def _data(self, n=60, f=4, seed=0):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, f))
+        return X, (X[:, 0] > 0).astype(int)
+
+    def test_nan_and_inf(self):
+        X, y = self._data()
+        X[::7, 0] = np.nan
+        X[1::9, 1] = np.inf
+        X[2::11, 2] = -np.inf
+        for task, target in (("C", y), ("R", X[:, 3])):
+            assert np.isfinite(cross_val_score(X, target, task, k=3, n_trees=3))
+
+    def test_all_constant_columns(self):
+        X, y = self._data()
+        assert np.isfinite(cross_val_score(np.ones_like(X), y, "C", k=3, n_trees=3))
+        assert np.isfinite(cross_val_score(np.zeros_like(X), X[:, 0], "R", k=3, n_trees=3))
+
+    def test_class_with_two_members(self):
+        X, y = self._data()
+        y[:2] = 2
+        assert np.isfinite(cross_val_score(X, y, "C", k=3, n_trees=3))
+
+    def test_single_class(self):
+        X, _ = self._data()
+        assert np.isfinite(cross_val_score(X, np.zeros(len(X), dtype=int), "C", k=3, n_trees=3))
+
+    def test_five_rows(self):
+        X, y = self._data(n=5)
+        y[:3] = [0, 1, 0]
+        for task, target in (("C", y), ("R", X[:, 1])):
+            assert np.isfinite(cross_val_score(X, target, task, k=3, n_trees=3))
+
+    def test_constant_regression_target(self):
+        X, _ = self._data()
+        assert np.isfinite(cross_val_score(X, np.full(len(X), 4.2), "R", k=3, n_trees=3))
+
+    def test_huge_values(self):
+        X, y = self._data()
+        assert np.isfinite(cross_val_score(X * 1e300, y, "C", k=3, n_trees=3))
+        assert np.isfinite(cross_val_score(X * 1e300, X[:, 0], "R", k=3, n_trees=3))
