@@ -17,10 +17,18 @@ import time
 
 import numpy as np
 
-from ..core.eafe import AFEConfig, AFEResult, final_report, select_important_features
+from ..core.eafe import (
+    AFEConfig,
+    AFEResult,
+    FeatureState,
+    final_report,
+    select_important_features,
+)
 from ..core.operators import ALL_OPS, BINARY_OPS
 from ..core.transform import apply_op, leaf
-from ..ml.forest import cross_val_score
+# Scoring goes through FeatureState; this binding stays importable because
+# the benchmark's tracer (afebench/spans.py) wraps it at every import site.
+from ..ml.forest import cross_val_score  # noqa: F401
 
 __all__ = ["random_pool", "run_autofs_r"]
 
@@ -59,18 +67,8 @@ def run_autofs_r(
     keep = select_important_features(X, y, task, cfg.max_agents, cfg.seed)
     Xk = np.asarray(X, dtype=np.float64)[:, keep]
     res = AFEResult(base_score=0.0, best_score=0.0)
-
-    def cv(M: np.ndarray) -> float:
-        t0 = time.perf_counter()
-        s = cross_val_score(M, y, task, k=cfg.cv_k, n_trees=cfg.cv_trees, seed=cfg.seed)
-        res.eval_time += time.perf_counter() - t0
-        return s
-
-    def matrix(cols: list[int]) -> np.ndarray:
-        return np.concatenate([Xk] + [values[j][:, None] for j in cols], axis=1)
-
-    res.base_score = cv(Xk)
-    res.best_score = res.base_score
+    state = FeatureState(Xk, y, task, cfg, res)
+    res.base_score = res.best_score = state.score
     # Random generation, same budget as the RL methods' formal step count.
     n_pool = cfg.max_agents * cfg.steps_per_agent * cfg.epochs_stage2
     t0 = time.perf_counter()
@@ -86,7 +84,6 @@ def run_autofs_r(
     q = np.zeros(len(pool))
     visited = np.zeros(len(pool), dtype=bool)
     selected: list[int] = []
-    cur = res.base_score
     order = rng.permutation(len(pool))
     for idx in order:
         if values[idx] is None:
@@ -96,20 +93,19 @@ def run_autofs_r(
         if visited[idx]:
             continue
         visited[idx] = True
-        s = cv(matrix(selected + [idx]))
-        res.n_evaluated += 1
-        gain = s - cur
+        s = state.evaluate(values[idx])
+        gain = s - state.score
         q[idx] += gain
         if gain > cfg.accept_margin:
+            state.add(values[idx], s)
             selected.append(idx)
-            cur = s
             res.best_score = max(res.best_score, s)
-            if len(selected) >= cfg.max_state_features:
+            if state.full:
                 break
         res.history.append(res.best_score)
     res.selected_specs = [pool[j] for j in selected]
     res.feature_names = [s.name for s in res.selected_specs]
     res.kept_columns = keep
-    final_report(res, Xk, matrix(selected) if selected else None, y, task, cfg)
+    final_report(res, Xk, state.matrix(), y, task, cfg)
     res.total_time = time.perf_counter() - t_start
     return res

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..ml.forest import RandomForest, cross_val_score
+from ..ml.forest import BinnedFolds, RandomForest, cross_val_score
 from .fpe import FPEModel
 from .operators import ALL_OPS, BINARY_OPS
 from .policy import AgentPolicy, state_embedding
@@ -35,6 +35,7 @@ from .transform import FeatureSpec, apply_op, leaf
 __all__ = [
     "AFEConfig",
     "AFEResult",
+    "FeatureState",
     "final_report",
     "run_afe",
     "select_important_features",
@@ -120,6 +121,59 @@ def select_important_features(
     return np.sort(np.argsort(-rf.feature_importances_)[:max_features])
 
 
+class FeatureState:
+    """The matrix a run builds, the kept originals ``X`` plus the accepted
+    columns, with its in-loop CV score.
+
+    The matrix is held binned per fold (``BinnedFolds``), so scoring a
+    candidate bins only the candidate's column. Building the state scores
+    the originals; ``evaluate`` is one downstream evaluation of a
+    candidate, counted in ``res.n_evaluated`` (Table IV). Both are timed
+    into ``res.eval_time``. ``add`` accepts a candidate at the score that
+    ``evaluate`` gave it, so ``score`` is always the matrix's own score.
+    The state holds at most ``cfg.max_state_features`` accepted columns.
+    """
+
+    def __init__(self, X: np.ndarray, y: np.ndarray, task: str, cfg: AFEConfig, res: AFEResult):
+        self.X, self.y, self.task, self.cfg, self.res = X, np.asarray(y), task, cfg, res
+        self.columns: list[np.ndarray] = []
+        t0 = time.perf_counter()
+        self.binned = BinnedFolds(X, y, task, k=cfg.cv_k, seed=cfg.seed)
+        self.score = self._cv(self.binned)
+        res.eval_time += time.perf_counter() - t0
+
+    def _cv(self, binned: BinnedFolds) -> float:
+        return cross_val_score(
+            binned, self.y, self.task, k=self.cfg.cv_k, n_trees=self.cfg.cv_trees,
+            seed=self.cfg.seed,
+        )
+
+    @property
+    def full(self) -> bool:
+        return len(self.columns) >= self.cfg.max_state_features
+
+    def evaluate(self, values: np.ndarray) -> float:
+        """Score of the state with the candidate column ``values`` added."""
+        t0 = time.perf_counter()
+        s = self._cv(self.binned.append(values))
+        self.res.eval_time += time.perf_counter() - t0
+        self.res.n_evaluated += 1
+        return s
+
+    def add(self, values: np.ndarray, score: float) -> None:
+        if self.full:
+            raise ValueError("the state holds max_state_features columns already")
+        self.binned = self.binned.append(values)
+        self.columns.append(values)
+        self.score = score
+
+    def matrix(self) -> np.ndarray | None:
+        """The state matrix, or None while no column is accepted."""
+        if not self.columns:
+            return None
+        return np.concatenate([self.X] + [v[:, None] for v in self.columns], axis=1)
+
+
 class _Engine:
     """Mutable run state shared by both training stages."""
 
@@ -149,30 +203,17 @@ class _Engine:
         ]
         self.buffer = ReplayBuffer()
         self._p_seen: list[float] = []
-        # Accepted engineered features (beyond originals).
-        self.accepted: list[tuple[FeatureSpec, np.ndarray, float]] = []
+        # Accepted engineered features (beyond originals); their values
+        # are the state's columns, in the same order.
+        self.accepted: list[FeatureSpec] = []
         self.seen: set[str] = {f"f{i}" for i in range(self.n_agents)}
         self.res = AFEResult(base_score=0.0, best_score=0.0)
-        t0 = time.perf_counter()
-        self.base_score = self._cv(self.X)
-        self.res.eval_time += time.perf_counter() - t0
+        self.state = FeatureState(self.X, self.y, task, cfg, self.res)
+        self.base_score = self.state.score
         self.res.base_score = self.base_score
         self.res.best_score = self.base_score
-        self.cur_score = self.base_score
 
     # -- helpers --------------------------------------------------------------
-
-    def _cv(self, M: np.ndarray) -> float:
-        return cross_val_score(
-            M, self.y, self.task, k=self.cfg.cv_k, n_trees=self.cfg.cv_trees,
-            seed=self.cfg.seed,
-        )
-
-    def _matrix_with(self, extra: np.ndarray | None = None) -> np.ndarray:
-        cols = [self.X] + [v[:, None] for _, v, _ in self.accepted]
-        if extra is not None:
-            cols.append(extra[:, None])
-        return np.concatenate(cols, axis=1)
 
     def _generate(self, agent_idx: int, parent: FeatureSpec | None = None):
         """One action: sample parents, pick an operator via the policy,
@@ -252,24 +293,10 @@ class _Engine:
             return 0.5
         return float(np.quantile(self._p_seen, quantile))
 
-    def _downstream_eval(self, values: np.ndarray) -> float:
-        t0 = time.perf_counter()
-        s = self._cv(self._matrix_with(values))
-        self.res.eval_time += time.perf_counter() - t0
-        self.res.n_evaluated += 1
-        return s
-
-    def _accept(self, spec: FeatureSpec, values: np.ndarray, gain: float):
-        if any(s.name == spec.name for s, _, _ in self.accepted):
-            return  # a re-generated spec (dedup off) is already in the state
-        self.accepted.append((spec, values, gain))
-        agent = min(spec.leaves())
-        self.subgroups[agent].append((spec, values))
-        # Cap the state size: drop the lowest-gain engineered feature.
-        cap = self.cfg.max_state_features
-        if len(self.accepted) > cap:
-            worst = int(np.argmin([g for _, _, g in self.accepted]))
-            self.accepted.pop(worst)
+    def _accept(self, spec: FeatureSpec, values: np.ndarray, score: float):
+        self.accepted.append(spec)
+        self.state.add(values, score)
+        self.subgroups[min(spec.leaves())].append((spec, values))
 
     # -- stages ----------------------------------------------------------------
 
@@ -357,21 +384,27 @@ class _Engine:
                         keep, p = self._passes_prefilter(values)
                     if not keep:
                         # Filtered out: reward from the pseudo-score only.
+                        cur = self.state.score
                         a_h = pseudo_score(
-                            p, self.cur_score,
+                            p, cur,
                             self.fpe.d_a_max if self.fpe else 0.1,
                             self.fpe.d_a_min if self.fpe else -0.1, cfg.thre,
                         )
-                        rewards.append(a_h - self.cur_score)
+                        rewards.append(a_h - cur)
                         steps.append((cache, 0.0))
                         continue
-                    s = self._downstream_eval(values)
-                    gain = s - self.cur_score
+                    s = self.state.evaluate(values)
+                    gain = s - self.state.score
                     rewards.append(gain)
                     steps.append((cache, 0.0))
-                    if gain > cfg.accept_margin:
-                        self._accept(spec, values, gain)
-                        self.cur_score = s
+                    # A full state accepts nothing more; a re-generated
+                    # spec (dedup off) is already in the state.
+                    if (
+                        gain > cfg.accept_margin
+                        and not self.state.full
+                        and spec not in self.accepted
+                    ):
+                        self._accept(spec, values, s)
                         if s > self.res.best_score:
                             self.res.best_score = s
                 r = np.array(rewards)
@@ -436,12 +469,10 @@ def run_afe(
     else:
         eng.stage2(cfg.epochs_stage2, use_lambda=False)
     res = eng.res
-    res.selected_specs = [s for s, _, _ in eng.accepted]
+    res.selected_specs = list(eng.accepted)
     res.feature_names = [s.name for s in res.selected_specs]
     res.kept_columns = eng.keep
-    final_report(
-        res, eng.X, eng._matrix_with(None) if eng.accepted else None, eng.y, task, cfg
-    )
+    final_report(res, eng.X, eng.state.matrix(), eng.y, task, cfg)
     res.total_time = time.perf_counter() - t_start
     return res
 

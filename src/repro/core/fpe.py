@@ -30,7 +30,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from ..hashing.minhash import VARIANTS, select_indices
-from ..ml.forest import cross_val_score
+from ..ml.forest import BinnedFolds, cross_val_score
 from ..ml.metrics import precision_recall
 from ..ml.mlp import MLP
 
@@ -142,17 +142,20 @@ def _label_one_dataset(
     randomly generated candidates ('gen': gain = A_+j - A_0) — both are
     'does this feature carry value the task would miss', which is what
     the pre-selector must answer about RL-generated candidates.
+
+    The dataset is binned per fold once: each leave-one-out score drops
+    one column's codes and each add-one score bins only the candidate.
     """
     from .transform import FeatureSpec  # local to keep worker imports lean
 
     X = entry["X"].values.astype(np.float64)
     y = np.asarray(entry["y"])
     task = entry["task"]
-    a0 = cross_val_score(X, y, task, **cv_cfg)
+    state = BinnedFolds(X, y, task, k=cv_cfg.get("k", 3), seed=cv_cfg.get("seed", 0))
+    a0 = cross_val_score(state, y, task, **cv_cfg)
     rows = []
     for j in range(X.shape[1]):
-        Xj = np.delete(X, j, axis=1)
-        aj = cross_val_score(Xj, y, task, **cv_cfg)
+        aj = cross_val_score(state.drop(j), y, task, **cv_cfg)
         gain = a0 - aj  # how much the dataset loses without feature j
         rows.append(
             {
@@ -180,7 +183,7 @@ def _label_one_dataset(
         v = spec.to_numpy(X)
         if not np.all(np.isfinite(v)) or v.std() == 0.0:
             continue
-        a_add = cross_val_score(np.c_[X, v], y, task, **cv_cfg)
+        a_add = cross_val_score(state.append(v), y, task, **cv_cfg)
         gain = a_add - a0  # how much the candidate adds
         rows.append(
             {

@@ -4,14 +4,16 @@ This is the substrate under ``repro.ml.forest`` — the paper's downstream
 evaluation task is Random-Forest cross-validation, and the box has no
 sklearn, so the tree is built from scratch, after the ``hist`` tree
 method of LightGBM and XGBoost. Features are quantile-binned to uint8
-codes; ``RandomForest`` bins once per forest fit and hands every tree
+codes; ``RandomForest`` bins once per forest fit (or takes codes binned
+per CV fold by ``repro.ml.forest.BinnedFolds``) and hands every tree
 the codes of its bootstrap rows. A tree grows level by level: at each
 depth the frontier's nodes draw their candidate features (one draw for
 the whole level, nodes in breadth-first order), one ``np.bincount``
-builds every (node, candidate, bin, class) histogram (three for
-regression: count, sum, sum of squares), and a vectorised scan picks
+builds every (class, node, candidate, bin) histogram (three for
+regression: count, sum, sum of squares), one impurity call scores the
+left and right children of every split, and a vectorised scan picks
 each node's best split. No Python runs per node, so a depth-6 fit costs
-a fixed few dozen numpy calls per level (a few milliseconds on 667 x 34
+a fixed few dozen numpy calls per level (about a millisecond on 667 x 15
 codes) — essential because AFE evaluates hundreds of candidate features
 per epoch.
 """
@@ -47,6 +49,18 @@ def apply_bins(X: np.ndarray, edges: np.ndarray) -> np.ndarray:
 def finite(X: np.ndarray) -> np.ndarray:
     """``X`` as float64 with NaN and ±inf replaced by 0 (before binning)."""
     return np.nan_to_num(np.asarray(X, dtype=np.float64), nan=0.0, posinf=0.0, neginf=0.0)
+
+
+def _renumber(
+    rows: np.ndarray, pos: np.ndarray, keep: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows whose frontier index is in ``keep``, with that index
+    renumbered to its position in ``keep``."""
+    at = np.full(width, -1)
+    at[keep] = np.arange(len(keep))
+    pos = at.take(pos)
+    inside = pos >= 0
+    return rows[inside], pos[inside]
 
 
 def _impurity(s: np.ndarray, task: str) -> tuple[np.ndarray, np.ndarray]:
@@ -119,7 +133,7 @@ class DecisionTree:
             edges = bin_features(X, self.n_bins)
             X = apply_bins(X, edges)
         self.edges_ = edges
-        Xb = np.ascontiguousarray(X)
+        Xb = np.ascontiguousarray(X, dtype=np.intp)  # codes widen once per fit
         n, n_features = Xb.shape
         n_bins = edges.shape[1] + 1
         if self.task == "C":
@@ -139,53 +153,42 @@ class DecisionTree:
         if self.max_features is not None:
             mf = min(self.max_features, n_features)
         rng = np.random.default_rng(self.seed)
-        importances = np.zeros(n_features)
 
-        # Per level: node stats (k, width), split feature / bin, child ids.
-        stats, feats, thrs, lefts, rights = [root[:, None]], [], [], [], []
+        stats = [root[:, None]]  # per level: node stats, shape (k, width)
+        splits = []  # per level: split node ids, feature, bin, left child ids, gain
         rows = np.arange(n)  # rows still in a splittable node ...
         pos = np.zeros(n, dtype=np.intp)  # ... and that node's frontier index
         first = 0  # node id of the frontier's first node
-        for depth in range(self.max_depth + 1):
+        for _depth in range(self.max_depth):
             S = stats[-1]
             width = S.shape[1]
-            feat = np.full(width, _LEAF, dtype=np.intp)
-            thr = np.zeros(width, dtype=np.intp)
-            left_id = np.arange(first, first + width)  # a leaf points to itself
-            right_id = left_id.copy()
-            feats.append(feat)
-            thrs.append(thr)
-            lefts.append(left_id)
-            rights.append(right_id)
-            if depth == self.max_depth:
-                break
             nn, sse = _impurity(S, self.task)
             open_ = nn >= 2 * self.min_leaf
             if self.task == "C":
                 open_ &= S.max(0) < nn  # a pure node stays a leaf
             cand = np.flatnonzero(open_)
-            if len(cand) == 0:
-                break
-            # Keep the rows of the open nodes, renumbered 0..P-1.
             P = len(cand)
-            at = np.full(width, -1)
-            at[cand] = np.arange(P)
-            pos = at[pos]
-            rows, pos = rows[pos >= 0], pos[pos >= 0]
+            if P == 0:
+                break
+            if P < width:  # keep the rows of the open nodes, renumbered 0..P-1
+                rows, pos = _renumber(rows, pos, cand, width)
             if mf < n_features:
                 fs = np.argsort(rng.random((P, n_features)), axis=1)[:, :mf]
             else:
                 fs = np.broadcast_to(np.arange(n_features), (P, n_features))
-            # One histogram over (stat, bin, node, candidate); the stat and
-            # bin axes lead so that the sums over them add whole slabs.
-            codes = np.take(Xb, rows[:, None] * n_features + fs[pos]).astype(np.intp)
-            cell = (codes * P + pos[:, None]) * mf + np.arange(mf)
-            size = n_bins * P * mf
+            # One histogram over (stat, node, candidate, bin): the stat axis
+            # leads, so the sums over it add whole slabs, and each node's
+            # (candidate, bin) splits are one contiguous row.
+            codes = Xb.take((rows * n_features)[:, None] + fs.take(pos, axis=0))
+            size = P * mf * n_bins
+            row = pos * (mf * n_bins)
             if self.task == "C":
-                hist = np.bincount((y[rows, None] * size + cell).ravel(), minlength=k * size)
+                row += y.take(rows) * size
+            cell = (codes + row[:, None] + np.arange(0, mf * n_bins, n_bins)).ravel()
+            if self.task == "C":
+                hist = np.bincount(cell, minlength=k * size)
             else:
-                cell = cell.ravel()
-                yr = np.repeat(y[rows], mf)
+                yr = np.repeat(y.take(rows), mf)
                 hist = np.concatenate(
                     [
                         np.bincount(cell, minlength=size),
@@ -193,44 +196,51 @@ class DecisionTree:
                         np.bincount(cell, weights=yr * yr, minlength=size),
                     ]
                 )
-            hist = hist.reshape(k, n_bins, P, mf)
-            left = np.cumsum(hist, axis=1, dtype=np.float64)[:, :-1]
-            right = S[:, None, cand, None] - left
-            ln, lsse = _impurity(left, self.task)
-            rn, rsse = _impurity(right, self.task)
-            child = np.where((ln >= self.min_leaf) & (rn >= self.min_leaf), lsse + rsse, np.inf)
+            hist = hist.reshape(k, P, mf, n_bins)
+            # Left and right children of every (node, candidate, bin) split,
+            # on axis 1 of one array, so one impurity call scores both sides.
+            sides = np.empty((k, 2, P, mf, n_bins - 1))
+            sides[:, 0] = np.cumsum(hist[..., :-1], axis=3)  # exact for counts
+            np.subtract(S.take(cand, axis=1)[:, :, None, None], sides[:, 0], out=sides[:, 1])
+            cn, csse = _impurity(sides, self.task)
+            child = np.where((cn >= self.min_leaf).all(0), csse[0] + csse[1], np.inf)
             # Per node, candidates in draw order, then bins: ties go to the
             # first candidate, then the lowest bin.
-            child = child.transpose(1, 2, 0).reshape(P, -1)
+            child = child.reshape(P, -1)
             best = np.argmin(child, axis=1)
             gain_n = sse[cand] - child[np.arange(P), best]  # gain x node rows
             split = np.flatnonzero(gain_n > 1e-12 * nn[cand])
-            if len(split) == 0:
+            n_split = len(split)
+            if n_split == 0:
                 break
             j, b = np.divmod(best[split], n_bins - 1)
             f = fs[split, j]
-            node = cand[split]
-            feat[node] = f
-            thr[node] = b
-            left_id[node] = first + width + 2 * np.arange(len(split))
-            right_id[node] = left_id[node] + 1
-            np.add.at(importances, f, gain_n[split])
+            left_id = first + width + 2 * np.arange(n_split)
+            splits.append((first + cand[split], f, b, left_id, gain_n[split]))
             # Children in breadth-first order: left, right per split node.
-            pair = np.stack([left[:, b, split, j], right[:, b, split, j]], 2)
-            stats.append(pair.reshape(k, -1))
+            pair = sides[:, :, split, j, b]  # (k, side, split node)
+            stats.append(pair.transpose(0, 2, 1).reshape(k, -1))
             # Route the rows of the split nodes to their children.
-            at = np.full(P, -1)
-            at[split] = np.arange(len(split))
-            pos = at[pos]
-            rows, pos = rows[pos >= 0], pos[pos >= 0]
-            go_right = np.take(Xb, rows * n_features + f[pos]) > b[pos]
+            if n_split < P:
+                rows, pos = _renumber(rows, pos, split, P)
+            go_right = Xb.take(rows * n_features + f.take(pos)) > b.take(pos)
             pos = 2 * pos + go_right
             first += width
 
-        self.feature_ = np.concatenate(feats)
-        self.threshold_ = np.concatenate(thrs)
-        self.left_ = np.concatenate(lefts)
-        self.right_ = np.concatenate(rights)
+        n_nodes = first + stats[-1].shape[1]
+        self.feature_ = np.full(n_nodes, _LEAF, dtype=np.intp)
+        self.threshold_ = np.zeros(n_nodes, dtype=np.intp)
+        self.left_ = np.arange(n_nodes)  # a leaf points to itself
+        self.right_ = self.left_.copy()
+        importances = np.zeros(n_features)
+        if splits:
+            node, f, b, left_id, gain_n = (np.concatenate(a) for a in zip(*splits))
+            self.feature_[node] = f
+            self.threshold_[node] = b
+            self.left_[node] = left_id
+            self.right_[node] = left_id + 1
+            # Sums each feature's gains in split order, as adding per level would.
+            importances = np.bincount(f, weights=gain_n, minlength=n_features)
         S = np.concatenate(stats, axis=1)
         if self.task == "C":
             self.value_ = (S / np.maximum(S.sum(0), 1)).T
@@ -244,13 +254,14 @@ class DecisionTree:
 
     def apply(self, Xb: np.ndarray) -> np.ndarray:
         """Leaf id of every row of bin codes ``Xb``."""
-        node = np.zeros(len(Xb), dtype=np.intp)
-        r = np.arange(len(Xb))
+        n, n_features = Xb.shape
+        node = np.zeros(n, dtype=np.intp)
+        at = np.arange(n) * n_features  # row offsets into the flat codes
         # Leaves point to themselves, so depth_ steps land every row on its
-        # leaf; at a leaf, feature_ = -1 reads a column nobody uses.
+        # leaf; at a leaf, feature_ = -1 reads a code nobody uses.
         for _ in range(self.depth_):
-            go_left = Xb[r, self.feature_[node]] <= self.threshold_[node]
-            node = np.where(go_left, self.left_[node], self.right_[node])
+            go_left = Xb.take(at + self.feature_.take(node)) <= self.threshold_.take(node)
+            node = np.where(go_left, self.left_.take(node), self.right_.take(node))
         return node
 
     def _leaf_values(self, X: np.ndarray) -> np.ndarray:

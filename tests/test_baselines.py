@@ -7,6 +7,7 @@ import pytest
 from repro.baselines.autofs import random_pool, run_autofs_r
 from repro.baselines.nfs import nfs_config, run_nfs
 from repro.baselines.rtdl import run_dl_fe, run_fe_dl, run_rtdl_n, split_indices
+from repro.bench.datasets import by_name, load_dataset
 from repro.core.eafe import AFEConfig, build_feature_matrix, run_afe
 from repro.core.transform import leaf
 from repro.synth_data import make_tabular
@@ -65,6 +66,31 @@ class TestFinalReport:
         for r in runs[1:]:
             np.testing.assert_array_equal(r.kept_columns, runs[0].kept_columns)
             assert r.base_score == runs[0].base_score
+
+
+class TestGoldenRows:
+    """Pinned results on ``labor`` at the TINY config. A change that moves
+    any of them changes the methods' results, not only their speed."""
+
+    GOLDEN = {
+        "NFS": (0.7437161531279177, 11, ["add(f0,f0)", "log(f4)"]),
+        "E-AFE_D": (0.7857703081232492, 5, ["reciprocal(f2)"]),
+        "FS_R": (0.8116573295985061, 20, ["div(f3,f2)", "div(div(f3,f2),log(f1))"]),
+    }
+    BASE_SCORE = 0.7214285714285714
+
+    @pytest.mark.parametrize("method", sorted(GOLDEN))
+    def test_labor(self, method):
+        X, y = load_dataset(by_name("labor"))
+        X = X.values.astype(np.float64)
+        run = {
+            "NFS": lambda: run_nfs(X, y, "C", TINY),
+            "E-AFE_D": lambda: run_afe(X, y, "C", None, replace(TINY, dropout_keep=0.5)),
+            "FS_R": lambda: run_autofs_r(X, y, "C", TINY),
+        }[method]
+        r = run()
+        assert (r.best_score, r.n_evaluated, r.feature_names) == self.GOLDEN[method]
+        assert r.base_score == self.BASE_SCORE
 
 
 class TestRandomPool:

@@ -4,11 +4,13 @@ import pytest
 
 from repro.core.eafe import (
     AFEConfig,
+    _Engine,
     build_feature_matrix,
     run_afe,
     select_important_features,
 )
 from repro.core.fpe import FPEModel, label_corpus
+from repro.ml.forest import cross_val_score
 from repro.synth_data import fpe_corpus, make_tabular
 
 TINY = AFEConfig(
@@ -99,6 +101,27 @@ class TestEAFERun:
 
         for name in r.feature_names:
             assert parse_spec(name).order <= 2
+
+
+class TestStateInvariants:
+    @pytest.mark.parametrize("dedup", [True, False])
+    def test_full_state_accepts_nothing_more(self, data, dedup):
+        """With every gain accepted and room for one column, the state keeps
+        the first accepted column, and its score is that matrix's score."""
+        X, y = data
+        cfg = _cfg(evaluate_all=True, two_stage=False, dedup=dedup,
+                   max_state_features=1, accept_margin=-1.0)
+        eng = _Engine(X, y, "C", None, cfg)
+        eng.stage2(cfg.epochs_stage2, use_lambda=False)
+        assert eng.res.n_evaluated > 1
+        assert len(eng.accepted) == len(eng.state.columns) == 1
+        M = eng.state.matrix()
+        np.testing.assert_array_equal(M[:, -1], eng.accepted[0].to_numpy(eng.X))
+        fresh = cross_val_score(M, eng.y, "C", k=cfg.cv_k, n_trees=cfg.cv_trees, seed=cfg.seed)
+        assert eng.state.score == fresh
+        # Single-stage subgroups hold the originals and the accepted spec only.
+        engineered = [s for sub in eng.subgroups for s, _ in sub if not s.is_leaf]
+        assert engineered == eng.accepted
 
 
 class TestFeatureMatrix:

@@ -174,6 +174,26 @@ class TestLabeling:
         df = _label_one_dataset(e, thre=0.01, cv_cfg={"k": 3, "n_trees": 4}, n_generated=3)
         assert ((df["gain"] > 0.01) == (df["label"] == 1)).all()
 
+    def test_rows_equal_scoring_raw_matrices(self, tiny_corpus):
+        """Eq. 3's scores, computed on the raw matrices: A_0 on X, A_j on X
+        without column j, A_+j on X with the candidate appended."""
+        from repro.core.transform import parse_spec
+        from repro.ml.forest import cross_val_score
+
+        cv_cfg = {"k": 3, "n_trees": 4, "seed": 2}
+        for e in tiny_corpus[:2]:
+            df = _label_one_dataset(e, 0.01, cv_cfg, n_generated=4)
+            X = e["X"].values.astype(np.float64)
+            y = np.asarray(e["y"])
+            a0 = cross_val_score(X, y, e["task"], **cv_cfg)
+            assert (df["a0"] == a0).all()
+            for r in df.itertuples():
+                if r.kind == "orig":
+                    M = np.delete(X, r.feature, axis=1)
+                else:
+                    M = np.c_[X, parse_spec(r.spec).to_numpy(X)]
+                assert r.aj == cross_val_score(M, y, e["task"], **cv_cfg)
+
     def test_spark_fanout_covers_corpus(self, labels, tiny_corpus):
         assert set(labels["dataset"]) == {e["name"] for e in tiny_corpus}
 

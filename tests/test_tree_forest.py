@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from repro.ml.forest import RandomForest, cross_val_score, kfold_indices
+from repro.ml.forest import BinnedFolds, RandomForest, cross_val_score, kfold_indices
+from repro.ml.metrics import score as metric_score
 from repro.ml.tree import DecisionTree, apply_bins, bin_features
 
 
@@ -302,6 +303,115 @@ class TestLevelWiseTree:
         )
         for attr in ("feature_", "threshold_", "left_", "right_", "value_"):
             np.testing.assert_array_equal(getattr(a, attr), getattr(b, attr))
+
+    def test_wide_frontier_codes_do_not_overflow(self):
+        """Histogram cells reach n_bins x nodes x candidates, far past 255;
+        uint8 codes must widen before they are multiplied."""
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(1500, 40))
+        y = (X[:, :8].sum(1) > 0).astype(int)  # many weak features: wide trees
+        edges = bin_features(X)
+        codes = apply_bins(X, edges)
+        kw = dict(task="C", max_depth=7, min_leaf=1, max_features=None, seed=0)
+        a = DecisionTree(**kw).fit(codes, y, edges=edges)
+        b = DecisionTree(**kw).fit(codes.astype(np.int64), y, edges=edges)
+        widths = np.bincount(_node_depths(a)[a.feature_ >= 0])
+        assert widths.max() * X.shape[1] > 255  # some level split > 6 nodes
+        for attr in ("feature_", "threshold_", "left_", "right_", "value_"):
+            np.testing.assert_array_equal(getattr(a, attr), getattr(b, attr))
+        assert (a.predict(X) == y).mean() > 0.85
+
+
+def _reference_cv(X, y, task, k=3, n_trees=8, max_depth=6, seed=0):
+    """Per-fold RF CV on raw matrices: fit on X[tr], predict X[te]."""
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
+    scores = []
+    for fold, (tr, te) in enumerate(kfold_indices(y, k, task, seed)):
+        rf = RandomForest(task=task, n_trees=n_trees, max_depth=max_depth, seed=seed + fold)
+        rf.fit(X[tr], y[tr])
+        scores.append(metric_score(y[te], rf.predict(X[te]), task))
+    return float(np.mean(scores))
+
+
+def _cases():
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(90, 5))
+    y_c = (X[:, 0] + 0.5 * rng.normal(size=90) > 0).astype(int)
+    y_r = X[:, 1] * X[:, 2] + 0.1 * rng.normal(size=90)
+    bad = X.copy()
+    bad[::7, 0], bad[1::9, 1], bad[2::11, 2] = np.nan, np.inf, -np.inf
+    const = X.copy()
+    const[:, [1, 3]] = 2.5
+    # One member of class 1: the fold that tests it trains on class 0 only.
+    lone = np.zeros(90, dtype=int)
+    lone[4] = 1
+    return {
+        "classification": (X, y_c, "C"),
+        "regression": (X, y_r, "R"),
+        "nan_inf_C": (bad, y_c, "C"),
+        "nan_inf_R": (bad, y_r, "R"),
+        "constant_columns": (const, y_c, "C"),
+        "single_class_fold": (X, lone, "C"),
+        "string_labels": (X, np.where(y_c == 1, "yes", "no"), "C"),
+    }
+
+
+class TestBinnedFolds:
+    CASES = _cases()
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_equals_reference_loop(self, case, seed):
+        X, y, task = self.CASES[case]
+        kw = dict(k=3, n_trees=4, max_depth=5, seed=seed)
+        expected = _reference_cv(X, y, task, **kw)
+        assert cross_val_score(X, y, task, **kw) == expected
+        state = BinnedFolds(X, y, task, k=3, seed=seed)
+        assert cross_val_score(state, y, task, **kw) == expected
+
+    def test_single_class_fold_is_degenerate(self):
+        X, y, task = self.CASES["single_class_fold"]
+        state = BinnedFolds(X, y, task)
+        assert min(len(classes) for classes, _ in state.targets) == 1
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_append_and_drop_equal_binning_from_scratch(self, case):
+        X, y, task = self.CASES[case]
+
+        def same(a, b):
+            for fold_a, fold_b in zip(a.codes, b.codes):
+                for u, v in zip(fold_a, fold_b):
+                    assert u.dtype == v.dtype
+                    np.testing.assert_array_equal(u, v)
+
+        full = BinnedFolds(X, y, task, k=3, seed=1)
+        grown = BinnedFolds(X[:, :2], y, task, k=3, seed=1).append(X[:, 2:4]).append(X[:, 4])
+        same(grown, full)
+        for j in range(X.shape[1]):
+            same(full.drop(j), BinnedFolds(np.delete(X, j, 1), y, task, k=3, seed=1))
+        kw = dict(k=3, n_trees=3, seed=1)
+        assert cross_val_score(grown.drop(1), y, task, **kw) == _reference_cv(
+            np.delete(X, 1, 1), y, task, **kw
+        )
+
+    def test_append_and_drop_leave_the_state_unchanged(self, clf_data):
+        X, y = clf_data
+        state = BinnedFolds(X, y, "C")
+        before = [tuple(a.copy() for a in fold) for fold in state.codes]
+        assert state.append(X[:, 0] ** 2).codes[0][0].shape == (7, 31)
+        assert state.drop(0).codes[0][0].shape == (5, 31)
+        for fold, kept in zip(state.codes, before):
+            for a, b in zip(fold, kept):
+                np.testing.assert_array_equal(a, b)
+
+    def test_other_folds_rejected(self, clf_data):
+        X, y = clf_data
+        state = BinnedFolds(X, y, "C", k=3, seed=0)
+        for kw in (dict(k=4), dict(seed=1)):
+            with pytest.raises(ValueError):
+                cross_val_score(state, y, "C", **kw)
+        with pytest.raises(ValueError):
+            cross_val_score(state, y, "R")
 
 
 class TestCrossValDegenerate:
