@@ -5,10 +5,13 @@ evaluating fewer than ~55% of the features NFS evaluates per epoch. The
 benchmark runs the three methods on one dataset and records the counts;
 the assertion encodes the ratio claim.
 """
+from dataclasses import replace
+
 import pytest
 
 from repro.baselines.nfs import run_nfs
 from repro.bench.datasets import by_name, load_dataset
+from repro.bench.harness import METHODS
 from repro.core.eafe import run_afe
 from repro.core.eafe import AFEConfig
 
@@ -50,7 +53,7 @@ def test_eval_count_eafe(benchmark, data, fpe, nfs_result, bench_cfg_module):
 
 def test_eval_count_dropout(benchmark, data, nfs_result, bench_cfg_module):
     X, y, task = data
-    cfg = AFEConfig(**{**vars(bench_cfg_module), "dropout_keep": 0.5})
+    cfg = replace(bench_cfg_module, **METHODS["E-AFE_D"].overrides)
     r = benchmark.pedantic(
         lambda: run_afe(X, y, task, None, cfg), rounds=1, iterations=1
     )

@@ -17,13 +17,7 @@ import time
 
 import numpy as np
 
-from ..core.eafe import (
-    AFEConfig,
-    AFEResult,
-    FeatureState,
-    final_report,
-    select_important_features,
-)
+from ..core.eafe import AFEConfig, AFEResult, FeatureState
 from ..core.operators import ALL_OPS, BINARY_OPS
 from ..core.transform import apply_op, leaf
 # Scoring goes through FeatureState; this binding stays importable because
@@ -63,12 +57,8 @@ def run_autofs_r(
 ) -> AFEResult:
     cfg = cfg or AFEConfig()
     rng = np.random.default_rng(cfg.seed)
-    t_start = time.perf_counter()
-    keep = select_important_features(X, y, task, cfg.max_agents, cfg.seed)
-    Xk = np.asarray(X, dtype=np.float64)[:, keep]
-    res = AFEResult(base_score=0.0, best_score=0.0)
-    state = FeatureState(Xk, y, task, cfg, res)
-    res.base_score = res.best_score = state.score
+    state = FeatureState(X, y, task, cfg)
+    res, Xk = state.res, state.X
     # Random generation, same budget as the RL methods' formal step count.
     n_pool = cfg.max_agents * cfg.steps_per_agent * cfg.epochs_stage2
     t0 = time.perf_counter()
@@ -99,13 +89,7 @@ def run_autofs_r(
         if gain > cfg.accept_margin:
             state.add(values[idx], s)
             selected.append(idx)
-            res.best_score = max(res.best_score, s)
             if state.full:
                 break
         res.history.append(res.best_score)
-    res.selected_specs = [pool[j] for j in selected]
-    res.feature_names = [s.name for s in res.selected_specs]
-    res.kept_columns = keep
-    final_report(res, Xk, state.matrix(), y, task, cfg)
-    res.total_time = time.perf_counter() - t_start
-    return res
+    return state.report([pool[j] for j in selected])

@@ -19,12 +19,10 @@ __all__ = ["nfs_config", "run_nfs"]
 
 
 def nfs_config(base: AFEConfig | None = None) -> AFEConfig:
-    """The engine configuration that realizes NFS: ``base`` with NFS's
-    gate, training and de-duplication flags; every other field carries over."""
-    return replace(
-        base or AFEConfig(), dropout_keep=None, two_stage=False, evaluate_all=True,
-        dedup=False,
-    )
+    """The engine configuration that realizes NFS: ``base`` with no gate
+    (hence no de-duplication) and single-stage training; every other
+    field carries over."""
+    return replace(base or AFEConfig(), gate="none", two_stage=False)
 
 
 def run_nfs(

@@ -63,7 +63,7 @@ METHODS: dict[str, Method] = {
     "FE|DL": Method(run_afe, "ccws", dl=run_fe_dl),
     "DL|FE": Method(None, dl=run_dl_fe),
     "E-AFE_R": Method(run_afe, "ccws", {"two_stage": False}),
-    "E-AFE_D": Method(run_afe, overrides={"dropout_keep": 0.5}),
+    "E-AFE_D": Method(run_afe, overrides={"gate": "dropout"}),
     "E-AFE^L": Method(run_afe, "licws"),
     "E-AFE^P": Method(run_afe, "pcws"),
     "E-AFE^I": Method(run_afe, "icws"),

@@ -33,6 +33,7 @@ from .rewards import discounted_returns, lambda_returns, pseudo_score
 from .transform import FeatureSpec, apply_op, leaf
 
 __all__ = [
+    "GATES",
     "AFEConfig",
     "AFEResult",
     "FeatureState",
@@ -43,6 +44,22 @@ __all__ = [
 ]
 
 
+GATES = ("fpe", "dropout", "none")
+# E-AFE_D's random gate: the 0.5 dropout ablation of the FPE.
+DROPOUT_KEEP = 0.5
+# Stage-2 proposal width behind the FPE gate: the agent's action is
+# applied to this many independently-sampled parent pairs and only the
+# FPE-top proposal goes to the gate. Generation is ~free (Table I), so
+# E-AFE reinvests its saved evaluation budget in exploration — the
+# paper's efficiency argument — while the downstream-evaluation count
+# stays at the gated ~50%.
+PROPOSALS = 2
+# Fraction of stage-2 steps whose top proposal clears the FPE gate.
+# 0.65 lands the evaluation count at ~0.4-0.5x NFS (which evaluates
+# every valid step), matching the paper's Table IV ratios.
+GATE_KEEP = 0.65
+
+
 @dataclass
 class AFEConfig:
     """Knobs of the engine; defaults are the scaled reproduction setting.
@@ -50,6 +67,12 @@ class AFEConfig:
     The paper trains 200 epochs per stage on full datasets; the scaled
     defaults keep every mechanism while fitting the repo's time budget
     (DESIGN.md §3). ``steps_per_agent`` is the paper's T.
+
+    A method is its ``gate`` and ``two_stage``. ``gate`` is what stands
+    between a generated candidate and the downstream evaluation: the FPE
+    (E-AFE), a random dropout (E-AFE_D) or nothing (NFS, which also
+    re-evaluates re-generated specs: de-duplication is on unless the
+    gate is ``"none"``).
     """
 
     epochs_stage1: int = 3
@@ -58,24 +81,10 @@ class AFEConfig:
     max_order: int = 5
     gamma: float = 0.9
     lam: float = 0.8
-    thre: float = 0.01
     max_agents: int = 10
     max_state_features: int = 24
-    dropout_keep: float | None = None  # E-AFE_D: random keep probability
+    gate: str = "fpe"
     two_stage: bool = True
-    evaluate_all: bool = False  # NFS: no pre-filtering at all
-    dedup: bool = True  # False for NFS/FS_R: re-generated specs re-evaluated
-    # Stage-2 proposal width when an FPE gate is active: the agent's
-    # action is applied to this many independently-sampled parent pairs
-    # and only the FPE-top proposal goes to the gate. Generation is
-    # ~free (Table I), so E-AFE reinvests its saved evaluation budget in
-    # exploration — the paper's efficiency argument — while the
-    # downstream-evaluation count stays at the gated ~50%.
-    proposals_per_step: int = 2
-    # Fraction of stage-2 steps whose top proposal clears the FPE gate.
-    # 0.65 lands the evaluation count at ~0.4-0.5x NFS (which evaluates
-    # every valid step), matching the paper's Table IV ratios.
-    gate_keep: float = 0.65
     cv_k: int = 3
     cv_trees: int = 6
     # Final-report protocol: the score a method is credited with is a
@@ -122,25 +131,34 @@ def select_important_features(
 
 
 class FeatureState:
-    """The matrix a run builds, the kept originals ``X`` plus the accepted
-    columns, with its in-loop CV score.
+    """One RF run's frame: the matrix it builds, its result, its clock.
 
-    The matrix is held binned per fold (``BinnedFolds``), so scoring a
-    candidate bins only the candidate's column. Building the state scores
-    the originals; ``evaluate`` is one downstream evaluation of a
-    candidate, counted in ``res.n_evaluated`` (Table IV). Both are timed
-    into ``res.eval_time``. ``add`` accepts a candidate at the score that
-    ``evaluate`` gave it, so ``score`` is always the matrix's own score.
-    The state holds at most ``cfg.max_state_features`` accepted columns.
+    Building the state keeps the ``cfg.max_agents`` most important
+    original columns (``X``, RF-importance pre-selection) and scores them.
+    The matrix, the kept originals plus the accepted columns, is held
+    binned per fold (``BinnedFolds``), so scoring a candidate bins only
+    the candidate's column. ``evaluate`` is one downstream evaluation of a
+    candidate, counted in ``res.n_evaluated`` (Table IV); the base score
+    and every evaluation are timed into ``res.eval_time``. ``add`` accepts
+    a candidate at the score that ``evaluate`` gave it, so ``score`` is
+    always the matrix's own score, and tracks ``res.best_score``. The
+    state holds at most ``cfg.max_state_features`` accepted columns.
+    ``report`` ends the run under the final-report protocol.
     """
 
-    def __init__(self, X: np.ndarray, y: np.ndarray, task: str, cfg: AFEConfig, res: AFEResult):
-        self.X, self.y, self.task, self.cfg, self.res = X, np.asarray(y), task, cfg, res
+    def __init__(self, X: np.ndarray, y: np.ndarray, task: str, cfg: AFEConfig):
+        self._t_start = time.perf_counter()
+        self.keep = select_important_features(X, y, task, cfg.max_agents, cfg.seed)
+        self.X = np.asarray(X, dtype=np.float64)[:, self.keep]
+        self.y, self.task, self.cfg = np.asarray(y), task, cfg
         self.columns: list[np.ndarray] = []
         t0 = time.perf_counter()
-        self.binned = BinnedFolds(X, y, task, k=cfg.cv_k, seed=cfg.seed)
+        self.binned = BinnedFolds(self.X, self.y, task, k=cfg.cv_k, seed=cfg.seed)
         self.score = self._cv(self.binned)
-        res.eval_time += time.perf_counter() - t0
+        self.res = AFEResult(
+            base_score=self.score, best_score=self.score, kept_columns=self.keep,
+            eval_time=time.perf_counter() - t0,
+        )
 
     def _cv(self, binned: BinnedFolds) -> float:
         return cross_val_score(
@@ -166,6 +184,7 @@ class FeatureState:
         self.binned = self.binned.append(values)
         self.columns.append(values)
         self.score = score
+        self.res.best_score = max(self.res.best_score, score)
 
     def matrix(self) -> np.ndarray | None:
         """The state matrix, or None while no column is accepted."""
@@ -173,25 +192,34 @@ class FeatureState:
             return None
         return np.concatenate([self.X] + [v[:, None] for v in self.columns], axis=1)
 
+    def report(self, specs: list[FeatureSpec]) -> AFEResult:
+        """Finish the run: ``specs`` are the accepted columns' specs, in
+        order. Credits the result under ``final_report`` and stops the
+        clock."""
+        res = self.res
+        res.selected_specs = list(specs)
+        res.feature_names = [s.name for s in res.selected_specs]
+        final_report(res, self.X, self.matrix(), self.y, self.task, self.cfg)
+        res.total_time = time.perf_counter() - self._t_start
+        return res
+
 
 class _Engine:
     """Mutable run state shared by both training stages."""
 
     def __init__(self, X, y, task, fpe, cfg: AFEConfig):
-        # The gate follows from the config: NFS evaluates everything,
-        # E-AFE_D drops at random, every other method consults the FPE.
-        self.fpe_gated = not cfg.evaluate_all and cfg.dropout_keep is None
-        if self.fpe_gated and fpe is None:
-            raise ValueError("this configuration requires a trained FPE model")
+        if cfg.gate not in GATES:
+            raise ValueError(f"unknown gate {cfg.gate!r}; expected one of {GATES}")
+        if cfg.gate == "fpe" and fpe is None:
+            raise ValueError("the FPE gate requires a trained FPE model")
         self.cfg = cfg
-        self.task = task
-        self.y = np.asarray(y)
         self.fpe = fpe
+        self.unique = cfg.gate != "none"  # reject re-generated specs
         self.rng = np.random.default_rng(cfg.seed)
-        keep = select_important_features(X, y, task, cfg.max_agents, cfg.seed)
-        self.keep = keep
-        self.X = np.asarray(X, dtype=np.float64)[:, keep]
-        self.n = self.X.shape[0]
+        self.state = FeatureState(X, y, task, cfg)
+        self.res, self.X, self.y = self.state.res, self.state.X, self.state.y
+        self.task = task
+        self.base_score = self.state.score
         self.n_agents = self.X.shape[1]
         # Subgroups: per agent, list of (spec, values). Specs use local
         # column indices into self.X.
@@ -207,11 +235,6 @@ class _Engine:
         # are the state's columns, in the same order.
         self.accepted: list[FeatureSpec] = []
         self.seen: set[str] = {f"f{i}" for i in range(self.n_agents)}
-        self.res = AFEResult(base_score=0.0, best_score=0.0)
-        self.state = FeatureState(self.X, self.y, task, cfg, self.res)
-        self.base_score = self.state.score
-        self.res.base_score = self.base_score
-        self.res.best_score = self.base_score
 
     # -- helpers --------------------------------------------------------------
 
@@ -219,7 +242,6 @@ class _Engine:
         """One action: sample parents, pick an operator via the policy,
         build the candidate spec + values. Returns None if the candidate
         is a duplicate or would exceed the maximum order."""
-        cfg = self.cfg
         t0 = time.perf_counter()
         sub = self.subgroups[agent_idx]
         if parent is not None:
@@ -237,7 +259,6 @@ class _Engine:
         """Apply ``op`` to (sampled) parents from the agent's subgroup;
         returns (spec, values) or None for over-order / duplicate /
         degenerate candidates. Policy-free — callers decide the action."""
-        cfg = self.cfg
         sub = self.subgroups[agent_idx]
         if s1 is None:
             s1, _ = sub[self.rng.integers(0, len(sub))]
@@ -246,7 +267,7 @@ class _Engine:
             spec = apply_op(op, s1, s2)
         else:
             spec = apply_op(op, s1)
-        if spec.order > cfg.max_order or (cfg.dedup and spec.name in self.seen):
+        if spec.order > self.cfg.max_order or (self.unique and spec.name in self.seen):
             return None
         self.seen.add(spec.name)
         values = spec.to_numpy(self.X)
@@ -259,7 +280,7 @@ class _Engine:
         return (spec, values)
 
     def _passes_prefilter(self, values: np.ndarray) -> tuple[bool, float]:
-        """FPE / dropout / none gate. Returns (keep, pseudo-probability).
+        """The gate on one candidate. Returns (keep, pseudo-probability).
 
         The FPE gate is self-calibrating per run: keep iff p is at or
         above the running median of probabilities seen on *this* dataset
@@ -269,13 +290,29 @@ class _Engine:
         keeping the *better half* as ranked by FPE, which is where the
         advantage over E-AFE_D's blind 0.5 dropout comes from.
         """
-        if self.fpe_gated:
+        if self.cfg.gate == "fpe":
             p = self._fpe_p(values)
             return p >= self._gate(), p
-        if self.cfg.evaluate_all:
+        if self.cfg.gate == "none":
             return True, 0.5
-        keep = bool(self.rng.random() < self.cfg.dropout_keep)
+        keep = bool(self.rng.random() < DROPOUT_KEEP)
         return keep, (0.75 if keep else 0.25)
+
+    def _best_proposal(self, agent_idx: int, out, op: str, parent: FeatureSpec | None):
+        """Best-of-``PROPOSALS`` behind the FPE gate: ``out`` plus the same
+        action ``op`` on fresh parent samples; returns (keep, spec,
+        values, p) for the FPE-top proposal."""
+        cands = [out]
+        t0 = time.perf_counter()
+        for _ in range(PROPOSALS - 1):
+            extra = self._build_candidate(agent_idx, op, parent)
+            if extra is not None:
+                cands.append(extra)
+        self.res.gen_time += time.perf_counter() - t0
+        ps = [self._fpe_p(v) for _, v in cands]
+        j = int(np.argmax(ps))
+        keep = ps[j] >= self._gate((1.0 - GATE_KEEP) ** (1.0 / PROPOSALS))
+        return keep, *cands[j], ps[j]
 
     def _fpe_p(self, values: np.ndarray) -> float:
         """FPE probability for a candidate, recorded for gate calibration."""
@@ -293,10 +330,21 @@ class _Engine:
             return 0.5
         return float(np.quantile(self._p_seen, quantile))
 
+    def _pseudo(self, p: float, a: float) -> float:
+        """Eq. 8's pseudo-score of FPE probability ``p`` around score ``a``,
+        with the FPE's gain range and threshold (``pseudo_score``'s own
+        defaults when the run has no FPE)."""
+        if self.fpe is None:
+            return pseudo_score(p, a)
+        return pseudo_score(p, a, self.fpe.d_a_max, self.fpe.d_a_min, self.fpe.thre)
+
     def _accept(self, spec: FeatureSpec, values: np.ndarray, score: float):
         self.accepted.append(spec)
         self.state.add(values, score)
         self.subgroups[min(spec.leaves())].append((spec, values))
+
+    def _update(self, agent_idx: int, caches: list[dict], u: np.ndarray) -> None:
+        self.agents[agent_idx].update([(c, float(u[k])) for k, c in enumerate(caches)])
 
     # -- stages ----------------------------------------------------------------
 
@@ -310,41 +358,35 @@ class _Engine:
         cfg = self.cfg
         for _ in range(cfg.epochs_stage1):
             for i in range(self.n_agents):
-                steps: list[tuple[dict, float]] = []
+                caches: list[dict] = []
                 rewards: list[float] = []
                 prev_a = self.base_score
                 for _t in range(cfg.steps_per_agent):
                     out, cache = self._generate(i)
+                    caches.append(cache)
                     if out is None:
                         rewards.append(0.0)
-                        steps.append((cache, 0.0))
                         continue
                     spec, values = out
                     keep, p = self._passes_prefilter(values)
-                    a_h = pseudo_score(
-                        p, self.base_score, self.fpe.d_a_max if self.fpe else 0.1,
-                        self.fpe.d_a_min if self.fpe else -0.1, cfg.thre,
-                    )
+                    a_h = self._pseudo(p, self.base_score)
                     rewards.append(a_h - prev_a)
                     prev_a = a_h
-                    steps.append((cache, 0.0))
                     if keep:
                         self.buffer.add(spec, i, p)
                         self.subgroups[i].append((spec, values))
-                u = discounted_returns(np.array(rewards), cfg.gamma)
-                self.agents[i].update(
-                    [(c, float(u[k])) for k, (c, _) in enumerate(steps)]
-                )
+                self._update(i, caches, discounted_returns(np.array(rewards), cfg.gamma))
             self.res.history.append(self.res.best_score)
 
-    def stage2(self, epochs: int, use_lambda: bool):
-        """Formal training (Alg. 2 lines 15–21) — also the whole training
-        loop for the single-stage methods (NFS, E-AFE_R), which call this
-        directly with ``use_lambda=False``."""
+    def stage2(self):
+        """Formal training (Alg. 2 lines 15–21), ``epochs_stage2`` epochs —
+        also the whole training loop for the single-stage methods (NFS,
+        E-AFE_R). Two-stage runs update with λ-returns, single-stage runs
+        with plain discounted returns."""
         cfg = self.cfg
-        for _ in range(epochs):
+        for _ in range(cfg.epochs_stage2):
             for i in range(self.n_agents):
-                steps: list[tuple[dict, float]] = []
+                caches: list[dict] = []
                 rewards: list[float] = []
                 parents = [e.spec for e in self.buffer.entries() if e.agent == i]
                 for t in range(cfg.steps_per_agent):
@@ -357,27 +399,13 @@ class _Engine:
                         else None
                     )
                     out, cache = self._generate(i, parent=parent)
+                    caches.append(cache)
                     if out is None:
                         rewards.append(0.0)
-                        steps.append((cache, 0.0))
                         continue
-                    if self.fpe_gated and cfg.proposals_per_step > 1:
-                        # Best-of-k proposals: same policy action, extra
-                        # parent samples; only the FPE-top one is gated.
-                        cands = [out]
-                        op = ALL_OPS[cache["a"]]
-                        t0 = time.perf_counter()
-                        for _ in range(cfg.proposals_per_step - 1):
-                            extra = self._build_candidate(i, op, parent)
-                            if extra is not None:
-                                cands.append(extra)
-                        self.res.gen_time += time.perf_counter() - t0
-                        ps = [self._fpe_p(v) for _, v in cands]
-                        j = int(np.argmax(ps))
-                        spec, values = cands[j]
-                        p = ps[j]
-                        keep = p >= self._gate(
-                            (1.0 - cfg.gate_keep) ** (1.0 / cfg.proposals_per_step)
+                    if cfg.gate == "fpe":
+                        keep, spec, values, p = self._best_proposal(
+                            i, out, ALL_OPS[cache["a"]], parent
                         )
                     else:
                         spec, values = out
@@ -385,35 +413,24 @@ class _Engine:
                     if not keep:
                         # Filtered out: reward from the pseudo-score only.
                         cur = self.state.score
-                        a_h = pseudo_score(
-                            p, cur,
-                            self.fpe.d_a_max if self.fpe else 0.1,
-                            self.fpe.d_a_min if self.fpe else -0.1, cfg.thre,
-                        )
-                        rewards.append(a_h - cur)
-                        steps.append((cache, 0.0))
+                        rewards.append(self._pseudo(p, cur) - cur)
                         continue
                     s = self.state.evaluate(values)
                     gain = s - self.state.score
                     rewards.append(gain)
-                    steps.append((cache, 0.0))
                     # A full state accepts nothing more; a re-generated
-                    # spec (dedup off) is already in the state.
+                    # spec (gate "none") is already in the state.
                     if (
                         gain > cfg.accept_margin
                         and not self.state.full
                         and spec not in self.accepted
                     ):
                         self._accept(spec, values, s)
-                        if s > self.res.best_score:
-                            self.res.best_score = s
                 r = np.array(rewards)
-                u = lambda_returns(r, cfg.gamma, cfg.lam) if use_lambda else (
+                u = lambda_returns(r, cfg.gamma, cfg.lam) if cfg.two_stage else (
                     discounted_returns(r, cfg.gamma)
                 )
-                self.agents[i].update(
-                    [(c, float(u[k])) for k, (c, _) in enumerate(steps)]
-                )
+                self._update(i, caches, u)
             self.res.history.append(self.res.best_score)
 
 
@@ -452,11 +469,10 @@ def run_afe(
 ) -> AFEResult:
     """Run one AFE training on a dataset and return instrumented results.
 
-    ``cfg`` flags pick the method (see module docstring). ``fpe`` may be
-    None only when the config never consults it (NFS / dropout modes).
+    ``cfg.gate`` and ``cfg.two_stage`` pick the method (see module
+    docstring). ``fpe`` may be None unless the gate is ``"fpe"``.
     """
     cfg = cfg or AFEConfig()
-    t_start = time.perf_counter()
     eng = _Engine(X, y, task, fpe, cfg)
     # Fairness protocol (paper §IV-A4: "the training epoch of the
     # two-stage strategy is 200, respectively", same as the baselines'
@@ -465,16 +481,8 @@ def run_afe(
     # FPE-only epochs that never touch the downstream task.
     if cfg.two_stage:
         eng.stage1()
-        eng.stage2(cfg.epochs_stage2, use_lambda=True)
-    else:
-        eng.stage2(cfg.epochs_stage2, use_lambda=False)
-    res = eng.res
-    res.selected_specs = list(eng.accepted)
-    res.feature_names = [s.name for s in res.selected_specs]
-    res.kept_columns = eng.keep
-    final_report(res, eng.X, eng.state.matrix(), eng.y, task, cfg)
-    res.total_time = time.perf_counter() - t_start
-    return res
+    eng.stage2()
+    return eng.state.report(eng.accepted)
 
 
 def build_feature_matrix(X: np.ndarray, res: AFEResult) -> np.ndarray:

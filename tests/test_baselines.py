@@ -8,6 +8,7 @@ from repro.baselines.autofs import random_pool, run_autofs_r
 from repro.baselines.nfs import nfs_config, run_nfs
 from repro.baselines.rtdl import run_dl_fe, run_fe_dl, run_rtdl_n, split_indices
 from repro.bench.datasets import by_name, load_dataset
+from repro.bench.harness import METHODS
 from repro.core.eafe import AFEConfig, build_feature_matrix, run_afe
 from repro.core.transform import leaf
 from repro.synth_data import make_tabular
@@ -27,20 +28,18 @@ def data():
 class TestNFSConfig:
     def test_flags(self):
         c = nfs_config(TINY)
-        assert c.evaluate_all and not c.two_stage and not c.dedup
-        assert c.dropout_keep is None
+        assert c.gate == "none" and not c.two_stage
 
     def test_budget_carried_over(self):
         base = AFEConfig(
             epochs_stage1=2, epochs_stage2=3, steps_per_agent=5, max_order=4,
-            gamma=0.8, lam=0.7, thre=0.02, max_agents=6, max_state_features=12,
-            dropout_keep=0.3, two_stage=False, evaluate_all=True, dedup=False,
-            proposals_per_step=3, gate_keep=0.5, cv_k=4, cv_trees=5,
+            gamma=0.8, lam=0.7, max_agents=6, max_state_features=12,
+            gate="dropout", two_stage=False, cv_k=4, cv_trees=5,
             final_cv_k=3, final_cv_trees=2, accept_margin=0.01, seed=7,
         )
         assert all(getattr(base, f.name) != f.default for f in fields(AFEConfig))
         c = nfs_config(base)
-        nfs_flags = {"dropout_keep", "two_stage", "evaluate_all", "dedup"}
+        nfs_flags = {"gate", "two_stage"}
         for f in fields(AFEConfig):
             if f.name not in nfs_flags:
                 assert getattr(c, f.name) == getattr(base, f.name), f.name
@@ -59,7 +58,7 @@ class TestFinalReport:
         X, y = data
         cfg = replace(TINY, final_cv_k=3, final_cv_trees=2)
         runs = [
-            run_afe(X, y, "C", None, replace(cfg, dropout_keep=0.5)),
+            run_afe(X, y, "C", None, replace(cfg, gate="dropout")),
             run_nfs(X, y, "C", cfg),
             run_autofs_r(X, y, "C", cfg),
         ]
@@ -69,26 +68,27 @@ class TestFinalReport:
 
 
 class TestGoldenRows:
-    """Pinned results on ``labor`` at the TINY config. A change that moves
-    any of them changes the methods' results, not only their speed."""
+    """Pinned results on ``labor`` at the TINY config, each method run as the
+    registry configures it (the FPE methods with the small test FPE). A
+    change that moves any of them changes the methods' results, not only
+    their speed."""
 
     GOLDEN = {
         "NFS": (0.7437161531279177, 11, ["add(f0,f0)", "log(f4)"]),
         "E-AFE_D": (0.7857703081232492, 5, ["reciprocal(f2)"]),
         "FS_R": (0.8116573295985061, 20, ["div(f3,f2)", "div(div(f3,f2),log(f1))"]),
+        "E-AFE": (0.7437161531279177, 6, ["minmax(add(f0,f0))", "mul(f4,div(log(f4),f4))"]),
+        "E-AFE_R": (0.7437161531279177, 5, ["add(f0,f0)", "log(f4)"]),
     }
     BASE_SCORE = 0.7214285714285714
 
     @pytest.mark.parametrize("method", sorted(GOLDEN))
-    def test_labor(self, method):
+    def test_labor(self, method, fpe):
         X, y = load_dataset(by_name("labor"))
         X = X.values.astype(np.float64)
-        run = {
-            "NFS": lambda: run_nfs(X, y, "C", TINY),
-            "E-AFE_D": lambda: run_afe(X, y, "C", None, replace(TINY, dropout_keep=0.5)),
-            "FS_R": lambda: run_autofs_r(X, y, "C", TINY),
-        }[method]
-        r = run()
+        m = METHODS[method]
+        kw = {"fpe": fpe} if m.variant else {}
+        r = m.runner(X, y, "C", cfg=replace(TINY, **m.overrides), **kw)
         assert (r.best_score, r.n_evaluated, r.feature_names) == self.GOLDEN[method]
         assert r.base_score == self.BASE_SCORE
 

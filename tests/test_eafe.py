@@ -1,4 +1,6 @@
 """Tests for the E-AFE engine (Algorithm 2) and its method configurations."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,8 @@ from repro.core.eafe import (
     run_afe,
     select_important_features,
 )
-from repro.core.fpe import FPEModel, label_corpus
 from repro.ml.forest import cross_val_score
-from repro.synth_data import fpe_corpus, make_tabular
+from repro.synth_data import make_tabular
 
 TINY = AFEConfig(
     epochs_stage1=1,
@@ -30,19 +31,6 @@ def data():
     return X.values, y
 
 
-@pytest.fixture(scope="module")
-def fpe(spark):
-    corpus = fpe_corpus(5, seed=1000)
-    labels = label_corpus(spark, corpus, thre=0.01, cv_cfg={"k": 3, "n_trees": 4})
-    return FPEModel.fit(corpus, labels, fixed_variant="ccws", d_options=(16,), seed=0)
-
-
-def _cfg(**kw):
-    base = vars(TINY).copy()
-    base.update(kw)
-    return AFEConfig(**base)
-
-
 class TestEAFERun:
     def test_eafe_end_to_end(self, data, fpe):
         X, y = data
@@ -54,27 +42,32 @@ class TestEAFERun:
 
     def test_nfs_mode_evaluates_everything_kept(self, data):
         X, y = data
-        r = run_afe(X, y, "C", None, _cfg(evaluate_all=True, two_stage=False,
-                                          dedup=False))
+        r = run_afe(X, y, "C", None, replace(TINY, gate="none", two_stage=False))
         # every generated (finite, non-degenerate) feature is evaluated
         assert r.n_evaluated == r.n_generated
 
     def test_dropout_mode(self, data):
         X, y = data
-        r = run_afe(X, y, "C", None, _cfg(dropout_keep=0.5))
+        r = run_afe(X, y, "C", None, replace(TINY, gate="dropout"))
         assert r.n_evaluated < r.n_generated
 
     def test_single_stage_with_fpe(self, data, fpe):
         X, y = data
-        r = run_afe(X, y, "C", fpe, _cfg(two_stage=False))
+        r = run_afe(X, y, "C", fpe, replace(TINY, two_stage=False))
         assert len(r.history) == TINY.epochs_stage2
 
     def test_missing_fpe_raises(self, data):
         X, y = data
         # E-AFE (two-stage) and E-AFE_R (single-stage) both gate on the FPE.
-        for cfg in (TINY, _cfg(two_stage=False)):
+        for cfg in (TINY, replace(TINY, two_stage=False)):
             with pytest.raises(ValueError):
                 run_afe(X, y, "C", None, cfg)
+
+    def test_unknown_gate_raises(self, data, fpe):
+        X, y = data
+        for gate in ("FPE", "all", ""):
+            with pytest.raises(ValueError, match="unknown gate"):
+                run_afe(X, y, "C", fpe, replace(TINY, gate=gate))
 
     def test_deterministic_in_seed(self, data, fpe):
         X, y = data
@@ -96,7 +89,7 @@ class TestEAFERun:
 
     def test_max_order_respected(self, data, fpe):
         X, y = data
-        r = run_afe(X, y, "C", fpe, _cfg(max_order=2, epochs_stage2=3))
+        r = run_afe(X, y, "C", fpe, replace(TINY, max_order=2, epochs_stage2=3))
         from repro.core.transform import parse_spec
 
         for name in r.feature_names:
@@ -104,15 +97,17 @@ class TestEAFERun:
 
 
 class TestStateInvariants:
-    @pytest.mark.parametrize("dedup", [True, False])
-    def test_full_state_accepts_nothing_more(self, data, dedup):
+    @pytest.mark.parametrize("unique", [True, False])
+    def test_full_state_accepts_nothing_more(self, data, unique):
         """With every gain accepted and room for one column, the state keeps
-        the first accepted column, and its score is that matrix's score."""
+        the first accepted column, and its score is that matrix's score.
+        Re-generated specs are rejected under every gate but "none"."""
         X, y = data
-        cfg = _cfg(evaluate_all=True, two_stage=False, dedup=dedup,
-                   max_state_features=1, accept_margin=-1.0)
+        cfg = replace(TINY, gate="dropout" if unique else "none", two_stage=False,
+                      max_state_features=1, accept_margin=-1.0)
         eng = _Engine(X, y, "C", None, cfg)
-        eng.stage2(cfg.epochs_stage2, use_lambda=False)
+        assert eng.unique == unique
+        eng.stage2()
         assert eng.res.n_evaluated > 1
         assert len(eng.accepted) == len(eng.state.columns) == 1
         M = eng.state.matrix()
