@@ -19,7 +19,7 @@ import numpy as np
 
 from ..core.eafe import AFEConfig, AFEResult, FeatureState
 from ..core.operators import ALL_OPS, BINARY_OPS
-from ..core.transform import apply_op, leaf
+from ..core.transform import apply_op, is_usable, leaf
 # Scoring goes through FeatureState; this binding stays importable because
 # the benchmark's tracer (afebench/spans.py) wraps it at every import site.
 from ..ml.forest import cross_val_score  # noqa: F401
@@ -63,10 +63,7 @@ def run_autofs_r(
     n_pool = cfg.max_agents * cfg.steps_per_agent * cfg.epochs_stage2
     t0 = time.perf_counter()
     pool = random_pool(Xk, n_pool, cfg.max_order, rng)
-    values = []
-    for s in pool:
-        v = s.to_numpy(Xk)
-        values.append(v if np.all(np.isfinite(v)) and v.std() > 0 else None)
+    values = [v if is_usable(v) else None for v in (s.to_numpy(Xk) for s in pool)]
     res.gen_time += time.perf_counter() - t0
     res.n_generated = sum(v is not None for v in values)
 

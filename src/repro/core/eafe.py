@@ -30,7 +30,7 @@ from .operators import ALL_OPS, BINARY_OPS
 from .policy import AgentPolicy, state_embedding
 from .replay import ReplayBuffer
 from .rewards import discounted_returns, lambda_returns, pseudo_score
-from .transform import FeatureSpec, apply_op, leaf
+from .transform import FeatureSpec, apply_op, is_usable, leaf
 
 __all__ = [
     "GATES",
@@ -273,8 +273,7 @@ class _Engine:
         values = spec.to_numpy(self.X)
         # Degenerate candidates (constant or non-finite, e.g. sub(f,f))
         # are not countable "new features" — nothing could evaluate them.
-        ok = bool(np.all(np.isfinite(values))) and values.std() > 0.0
-        if not ok:
+        if not is_usable(values):
             return None
         self.res.n_generated += 1
         return (spec, values)

@@ -146,7 +146,7 @@ def _label_one_dataset(
     The dataset is binned per fold once: each leave-one-out score drops
     one column's codes and each add-one score bins only the candidate.
     """
-    from .transform import FeatureSpec  # local to keep worker imports lean
+    from .transform import is_usable  # local to keep worker imports lean
 
     X = entry["X"].values.astype(np.float64)
     y = np.asarray(entry["y"])
@@ -181,7 +181,7 @@ def _label_one_dataset(
         attempts += 1
         spec = _random_spec(X.shape[1], max_order=3, rng=rng)
         v = spec.to_numpy(X)
-        if not np.all(np.isfinite(v)) or v.std() == 0.0:
+        if not is_usable(v):
             continue
         a_add = cross_val_score(state.append(v), y, task, **cv_cfg)
         gain = a_add - a0  # how much the candidate adds

@@ -20,7 +20,7 @@ from pyspark.sql import Column, DataFrame
 
 from .operators import BINARY_OPS, UNARY_OPS, duckdb_op_sql, numpy_op, spark_op
 
-__all__ = ["FeatureSpec", "leaf", "apply_op", "materialize", "parse_spec"]
+__all__ = ["FeatureSpec", "leaf", "apply_op", "is_usable", "materialize", "parse_spec"]
 
 
 @dataclass(frozen=True)
@@ -108,6 +108,13 @@ def apply_op(op: str, a: FeatureSpec, b: FeatureSpec | None = None) -> FeatureSp
             raise ValueError(f"binary op {op!r} needs a second spec")
         return FeatureSpec(op=op, left=a, right=b)
     raise ValueError(f"unknown op {op!r}")
+
+
+def is_usable(values: np.ndarray) -> bool:
+    """Whether a generated column can be a new feature: all values finite
+    and not all equal. ``max > min``, not ``std() > 0``: the float mean of
+    a constant column can round so that its std is ~1e-16."""
+    return bool(np.all(np.isfinite(values))) and values.max() > values.min()
 
 
 def parse_spec(name: str) -> FeatureSpec:

@@ -93,6 +93,20 @@ class TestGoldenRows:
         assert r.base_score == self.BASE_SCORE
 
 
+class TestConstantInput:
+    """On an all-constant X every candidate is constant too: nothing is
+    generated or evaluated, and the run reports its base score."""
+
+    @pytest.mark.parametrize("method", ["NFS", "E-AFE_D", "FS_R"])
+    def test_nothing_generated(self, method):
+        X, y = np.ones((120, 4)), np.arange(120) % 2
+        m = METHODS[method]
+        r = m.runner(X, y, "C", cfg=replace(TINY, **m.overrides))
+        assert r.n_generated == r.n_evaluated == 0
+        assert r.feature_names == []
+        assert r.best_score == r.base_score
+
+
 class TestRandomPool:
     def test_pool_size_and_orders(self):
         X = np.random.default_rng(0).normal(size=(50, 4))

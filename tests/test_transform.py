@@ -3,7 +3,9 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.transform import FeatureSpec, apply_op, leaf, materialize, parse_spec
+from repro.core.transform import (
+    FeatureSpec, apply_op, is_usable, leaf, materialize, parse_spec,
+)
 from repro.oracle import assert_equivalent
 
 
@@ -110,6 +112,26 @@ class TestNumpyEval:
         X = pdf.values
         for s in specs:
             assert np.isfinite(s.to_numpy(X)).all(), s.name
+
+
+class TestIsUsable:
+    def test_constant_column_with_nonzero_std(self):
+        v = np.full(120, 0.7)
+        assert v.std() > 0  # the rounding the helper must not be fooled by
+        assert not is_usable(v)
+
+    def test_generated_constant(self):
+        # x * (1/x) = 1 up to rounding, then log: log 2 on every row.
+        X = np.arange(1.0, 201.0)[:, None]
+        s = apply_op("log", apply_op("mul", leaf(0), apply_op("reciprocal", leaf(0))))
+        v = s.to_numpy(X)
+        assert len(np.unique(v)) == 1 and v.std() > 0
+        assert not is_usable(v)
+
+    def test_non_finite_and_varying(self):
+        assert not is_usable(np.array([1.0, np.nan, 2.0]))
+        assert not is_usable(np.array([1.0, np.inf, 2.0]))
+        assert is_usable(np.array([1.0, 1.0, 1.0 + 1e-15]))
 
 
 class TestSparkMaterialization:
