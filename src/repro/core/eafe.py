@@ -33,7 +33,6 @@ from .rewards import discounted_returns, lambda_returns, pseudo_score
 from .transform import FeatureSpec, apply_op, is_usable, leaf
 
 __all__ = [
-    "GATES",
     "AFEConfig",
     "AFEResult",
     "FeatureState",

@@ -1,13 +1,13 @@
 """From-scratch numpy ML substrate (no sklearn/scipy/torch on the box).
 
 Everything the paper's pipeline touches as a model lives here: the
-Random-Forest downstream task, the FPE logistic classifier, and the
+Random-Forest downstream task, the FPE's MLP classifier, and the
 Table V replacement models (SVM, NB, GP, MLP) plus the RTDL-style
 tabular ResNet used by the DL baselines.
 """
 from .forest import RandomForest, cross_val_score
 from .gp import GPRegressor
-from .linear import LinearSVM, LogisticRegression
+from .linear import LinearSVM
 from .metrics import f1_score, one_minus_rae, precision_recall, score
 from .mlp import MLP
 from .naive_bayes import GaussianNB
@@ -19,7 +19,6 @@ __all__ = [
     "cross_val_score",
     "GPRegressor",
     "LinearSVM",
-    "LogisticRegression",
     "f1_score",
     "one_minus_rae",
     "precision_recall",

@@ -1,17 +1,14 @@
-"""Linear models from scratch: logistic regression and linear SVM.
+"""Linear SVM from scratch, and the column standardisation the models share.
 
-Logistic regression is the FPE feature-effectiveness classifier
-(paper §III-B: a fast binary classifier over MinHash signatures trained
-with cross-entropy). The linear SVM (squared-hinge, L2) is a Table V
-replacement downstream task. Both use full-batch Adam — the inputs are
-small (d = 48 signatures, a few thousand rows), so batching machinery
-would be dead weight.
+The linear SVM (squared-hinge, L2) is a Table V replacement downstream
+task, trained with full-batch Adam — the inputs are small (a few
+thousand rows), so batching machinery would be dead weight.
 """
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["standardize_fit", "standardize_apply", "LogisticRegression", "LinearSVM"]
+__all__ = ["standardize_fit", "standardize_apply", "LinearSVM"]
 
 
 def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -42,62 +39,6 @@ class _AdamOpt:
         mh = self.m / (1 - 0.9**self.t)
         vh = self.v / (1 - 0.999**self.t)
         return params - self.lr * mh / (np.sqrt(vh) + 1e-8)
-
-
-class LogisticRegression:
-    """Binary logistic regression with L2, trained with Adam.
-
-    ``class_weight='balanced'`` reweights the loss by inverse class
-    frequency — the FPE label distribution is skewed (few features hurt
-    RF enough to be labeled positive), and the paper's objective is
-    recall-maximization (Eq. 6), which a balanced loss serves.
-    """
-
-    def __init__(
-        self,
-        lr: float = 0.05,
-        epochs: int = 300,
-        l2: float = 1e-3,
-        class_weight: str | None = "balanced",
-        seed: int = 0,
-    ):
-        self.lr = lr
-        self.epochs = epochs
-        self.l2 = l2
-        self.class_weight = class_weight
-        self.seed = seed
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "LogisticRegression":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        self._mu, self._sd = standardize_fit(X)
-        Xs = standardize_apply(X, self._mu, self._sd)
-        n, f = Xs.shape
-        rng = np.random.default_rng(self.seed)
-        w = rng.normal(scale=0.01, size=f + 1)
-        if self.class_weight == "balanced" and 0 < y.sum() < n:
-            pw = n / (2.0 * y.sum())
-            nw = n / (2.0 * (n - y.sum()))
-            sample_w = np.where(y == 1, pw, nw)
-        else:
-            sample_w = np.ones(n)
-        opt = _AdamOpt(f + 1, lr=self.lr)
-        Xb = np.c_[Xs, np.ones(n)]
-        for _ in range(self.epochs):
-            p = 1.0 / (1.0 + np.exp(-Xb @ w))
-            g = Xb.T @ (sample_w * (p - y)) / n
-            g[:-1] += self.l2 * w[:-1]
-            w = opt.step(w, g)
-        self._w = w
-        return self
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        Xs = standardize_apply(np.asarray(X, dtype=np.float64), self._mu, self._sd)
-        z = np.c_[Xs, np.ones(len(Xs))] @ self._w
-        return 1.0 / (1.0 + np.exp(-z))
-
-    def predict(self, X: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-        return (self.predict_proba(X) >= threshold).astype(np.int64)
 
 
 class LinearSVM:

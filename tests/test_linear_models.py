@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.ml.gp import GPRegressor
-from repro.ml.linear import LinearSVM, LogisticRegression, standardize_apply, standardize_fit
+from repro.ml.linear import LinearSVM, standardize_apply, standardize_fit
 from repro.ml.metrics import f1_score, one_minus_rae
 from repro.ml.mlp import MLP
 from repro.ml.naive_bayes import GaussianNB
@@ -47,35 +47,6 @@ class TestStandardize:
         mu, sd = standardize_fit(X)
         assert sd[0] == 1.0
         assert np.isfinite(standardize_apply(X, mu, sd)).all()
-
-
-class TestLogisticRegression:
-    def test_learns_linear_boundary(self, linear_clf_data):
-        X, y = linear_clf_data
-        m = LogisticRegression().fit(X, y)
-        assert f1_score(y, m.predict(X)) > 0.9
-
-    def test_proba_in_unit_interval(self, linear_clf_data):
-        X, y = linear_clf_data
-        p = LogisticRegression().fit(X, y).predict_proba(X)
-        assert (p >= 0).all() and (p <= 1).all()
-
-    def test_balanced_weighting_on_skew(self):
-        rng = np.random.default_rng(3)
-        X = rng.normal(size=(300, 3))
-        y = (X[:, 0] > 1.2).astype(int)  # ~11% positive
-        m = LogisticRegression(class_weight="balanced").fit(X, y)
-        # recall of the rare class should be decent
-        from repro.ml.metrics import precision_recall
-
-        _, rec = precision_recall(y, m.predict(X))
-        assert rec > 0.7
-
-    def test_deterministic(self, linear_clf_data):
-        X, y = linear_clf_data
-        a = LogisticRegression(seed=1).fit(X, y).predict_proba(X)
-        b = LogisticRegression(seed=1).fit(X, y).predict_proba(X)
-        np.testing.assert_array_equal(a, b)
 
 
 class TestLinearSVM:
