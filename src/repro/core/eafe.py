@@ -147,15 +147,15 @@ class FeatureState:
 
     def __init__(self, X: np.ndarray, y: np.ndarray, task: str, cfg: AFEConfig):
         self._t_start = time.perf_counter()
-        self.keep = select_important_features(X, y, task, cfg.max_agents, cfg.seed)
-        self.X = np.asarray(X, dtype=np.float64)[:, self.keep]
+        keep = select_important_features(X, y, task, cfg.max_agents, cfg.seed)
+        self.X = np.asarray(X, dtype=np.float64)[:, keep]
         self.y, self.task, self.cfg = np.asarray(y), task, cfg
         self.columns: list[np.ndarray] = []
         t0 = time.perf_counter()
         self.binned = BinnedFolds(self.X, self.y, task, k=cfg.cv_k, seed=cfg.seed)
         self.score = self._cv(self.binned)
         self.res = AFEResult(
-            base_score=self.score, best_score=self.score, kept_columns=self.keep,
+            base_score=self.score, best_score=self.score, kept_columns=keep,
             eval_time=time.perf_counter() - t0,
         )
 

@@ -27,7 +27,7 @@ class ReplayBuffer:
     _entries: dict[str, ReplayEntry] = field(default_factory=dict)
 
     def add(self, spec: FeatureSpec, agent: int, p: float) -> bool:
-        """Insert (dedup by spec name); returns True if stored."""
+        """Insert, keeping one entry per spec name; returns True if stored."""
         key = spec.name
         existing = self._entries.get(key)
         if existing is not None:
