@@ -1,7 +1,7 @@
 """spark-submit entrypoint: pre-train the FPE models (Algorithm 1).
 
 Fans the leave-one-feature-out labeling of the corpus out on Spark,
-grid-searches (hash family x signature dimension) maximizing validation
+searches the signature dimension per hash family maximizing validation
 recall (Eq. 6), and caches one model per weighted-MinHash family under
 results/fpe_models.pkl.
 

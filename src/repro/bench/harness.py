@@ -80,8 +80,8 @@ def train_fpe_models(
 ) -> dict[str, FPEModel]:
     """Pre-train one FPE model per hash family (Spark-fanned labeling).
 
-    The labeling pass (Eq. 3) is shared; only the (variant, d) grid
-    search differs per family. Returns {variant: FPEModel}.
+    The labeling pass (Eq. 3) is shared; only the search over d differs
+    per family. Returns {variant: FPEModel}.
     """
     corpus = fpe_corpus(n_corpus, seed=1000 + seed)
     # 10 trees for labeling: labels are the FPE's ground truth, so they

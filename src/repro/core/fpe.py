@@ -7,10 +7,10 @@ leave-one-feature-out Random-Forest scoring (Eq. 3).
 
 Label job (the expensive part of Algorithm 1 — n datasets x m features
 RF cross-validations) fans out on Spark via ``applyInPandas`` grouped by
-dataset. The hyperparameter search of Eq. 6 (hash family x signature
-dimension d, maximizing validation recall s.t. Prec > 0 and Rec < 1)
-runs driver-side on the labeled corpus — signatures are microseconds to
-compute next to the RF fits.
+dataset. The hyperparameter search of Eq. 6 (per hash family, the
+signature dimension d maximizing validation recall s.t. Prec > 0 and
+Rec < 1) runs driver-side on the labeled corpus — signatures are
+microseconds to compute next to the RF fits.
 
 Signature note (substitution, see DESIGN.md §3): Eq. 3's labels depend
 on the *target*, so a classifier whose input is target-blind cannot
@@ -29,7 +29,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from ..hashing.minhash import VARIANTS, select_indices
+from ..hashing.minhash import select_indices
 from ..ml.forest import BinnedFolds, cross_val_score
 from ..ml.metrics import precision_recall
 from ..ml.mlp import MLP
@@ -50,7 +50,8 @@ def _minmax01_at(v: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def _safe_corr(a: np.ndarray, b: np.ndarray) -> float:
-    if a.std() == 0 or b.std() == 0:
+    # max == min, not std() == 0: a constant column's std can round to ~1e-17.
+    if a.max() == a.min() or b.max() == b.min():
         return 0.0
     c = float(np.corrcoef(a, b)[0, 1])
     return c if np.isfinite(c) else 0.0
@@ -289,49 +290,40 @@ class FPEModel:
         corpus: list[dict],
         labels: pd.DataFrame,
         *,
-        variants: tuple[str, ...] = VARIANTS,
+        fixed_variant: str = "ccws",
         d_options: tuple[int, ...] = DEFAULT_D_OPTIONS,
         thre: float = 0.01,
         val_fraction: float = 0.3,
-        fixed_variant: str | None = None,
         seed: int = 0,
     ) -> "FPEModel":
-        """Grid-search (variant, d) maximizing validation recall (Eq. 6).
-
-        ``fixed_variant`` pins the hash family (the E-AFE^{L,P,I} table
-        variants) and searches only d. Validation split is by *dataset*
-        so recall measures cross-dataset generalization, as in the paper.
+        """Search the signature dimension d maximizing validation recall
+        (Eq. 6) for the hash family ``fixed_variant`` (the E-AFE^{L,P,I}
+        table variants). Validation split is by *dataset* so recall
+        measures cross-dataset generalization, as in the paper.
         """
         names = sorted({e["name"] for e in corpus})
         rng = np.random.default_rng(seed)
         n_val = max(1, int(len(names) * val_fraction))
         val_names = set(rng.choice(names, size=n_val, replace=False))
-        search_variants = (fixed_variant,) if fixed_variant else variants
         best = None
-        for variant in search_variants:
-            for d in d_options:
-                H, L, D = cls._signatures(corpus, labels, d, variant, seed)
-                is_val = np.isin(D, list(val_names))
-                if L[~is_val].sum() == 0 or L[is_val].sum() == 0:
-                    continue
-                clf = MLP(task="C", hidden=(32, 16), epochs=150, seed=seed)
-                clf.fit(H[~is_val], L[~is_val])
-                pred = clf.predict(H[is_val])
-                prec, rec = precision_recall(L[is_val], pred)
-                # Eq. 6 constraints: Prec > 0 rejects degenerate
-                # all-positive output; Rec < 1 rejects trivial recall.
-                if prec <= 0.0 or rec >= 1.0:
-                    eligible = False
-                else:
-                    eligible = True
-                key = (eligible, rec, prec)
-                if best is None or key > best[0]:
-                    best = (key, variant, d, prec, rec)
+        for d in d_options:
+            H, L, D = cls._signatures(corpus, labels, d, fixed_variant, seed)
+            is_val = np.isin(D, list(val_names))
+            if L[~is_val].sum() == 0 or L[is_val].sum() == 0:
+                continue
+            clf = MLP(task="C", hidden=(32, 16), epochs=150, seed=seed)
+            clf.fit(H[~is_val], L[~is_val])
+            prec, rec = precision_recall(L[is_val], clf.predict(H[is_val]))
+            # Eq. 6 constraints: Prec > 0 rejects degenerate all-positive
+            # output; Rec < 1 rejects trivial recall.
+            key = (prec > 0.0 and rec < 1.0, rec, prec)
+            if best is None or key > best[0]:
+                best = (key, d, prec, rec, H, L)
         if best is None:
             raise RuntimeError("FPE grid search found no trainable configuration")
-        _, variant, d, prec, rec = best
+        _, d, prec, rec, H, L = best
         model = cls(
-            variant=variant,
+            variant=fixed_variant,
             d=d,
             thre=thre,
             seed=seed,
@@ -340,8 +332,8 @@ class FPEModel:
             recall_=rec,
             precision_=prec,
         )
-        # Final classifier retrained on the full corpus.
-        H, L, _ = cls._signatures(corpus, labels, d, variant, seed)
+        # Final classifier retrained on the full corpus, on the search's
+        # signatures at the chosen d.
         model._clf = MLP(task="C", hidden=(32, 16), epochs=200, seed=seed)
         model._clf.fit(H, L)
         # Calibrate the operating point on the generated-candidate rows
@@ -349,23 +341,14 @@ class FPEModel:
         # drop rate of ~0.5 for random candidates; a policy that
         # proposes better-than-random candidates then clears it more
         # than half the time, matching the paper's drop-rate claim.
+        # One row per forward, as in predict_proba.
         gen_mask = (labels["kind"] == "gen").to_numpy()
         if gen_mask.any():
-            raw = np.array([model._raw_proba(h) for h in H[gen_mask]])
+            raw = np.array([model._clf.class_proba(h[None, :], 1)[0] for h in H[gen_mask]])
             model.threshold_ = float(np.clip(np.median(raw), 0.05, 0.95))
         return model
 
     # -- inference -------------------------------------------------------------
-
-    def _raw_proba(self, sig: np.ndarray) -> float:
-        logits = self._clf._forward(
-            (sig[None, :] - self._clf._mu) / self._clf._sd
-        )[-1][0]
-        z = logits - logits.max()
-        p = np.exp(z)
-        p /= p.sum()
-        pos = int(np.argmax(self._clf.classes_ == 1))
-        return float(p[pos])
 
     def predict_proba(
         self,
@@ -381,7 +364,7 @@ class FPEModel:
         sig = feature_signature(
             x, y, task, self.d, self.variant, self.seed, context=context
         )
-        raw = self._raw_proba(sig)
+        raw = float(self._clf.class_proba(sig[None, :], 1)[0])
         t = self.threshold_
         if raw <= t:
             return 0.5 * raw / t if t > 0 else 0.0

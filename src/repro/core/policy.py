@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..ml.linear import Adam
 from .operators import ALL_OPS
 
 __all__ = ["STATE_DIM", "AgentPolicy", "state_embedding"]
@@ -65,7 +66,6 @@ class AgentPolicy:
     ):
         g = np.random.default_rng(seed)
         self.hidden = hidden
-        self.lr = lr
         self.l2 = l2
         self.entropy_coef = entropy_coef
         s = 1.0 / np.sqrt(hidden)
@@ -76,9 +76,7 @@ class AgentPolicy:
         self.bo = np.zeros(_N_ACTIONS)
         self.h = np.zeros(hidden)
         self._rng = g
-        self._adam_m = {k: np.zeros_like(v) for k, v in self._params().items()}
-        self._adam_v = {k: np.zeros_like(v) for k, v in self._params().items()}
-        self._adam_t = 0
+        self._opt = Adam(self._params(), lr)
 
     def _params(self) -> dict[str, np.ndarray]:
         return {"Wx": self.Wx, "Wh": self.Wh, "bh": self.bh, "Wo": self.Wo, "bo": self.bo}
@@ -144,13 +142,5 @@ class AgentPolicy:
             grads["Wx"] += np.outer(x, dpre)
             grads["Wh"] += np.outer(h_prev, dpre)
             grads["bh"] += dpre
-        self._adam_t += 1
-        t = self._adam_t
-        params = self._params()
-        for k, theta in params.items():
-            g = grads[k] - self.l2 * theta  # ascent: include -l2*theta
-            self._adam_m[k] = 0.9 * self._adam_m[k] + 0.1 * g
-            self._adam_v[k] = 0.999 * self._adam_v[k] + 0.001 * g**2
-            mh = self._adam_m[k] / (1 - 0.9**t)
-            vh = self._adam_v[k] / (1 - 0.999**t)
-            theta += self.lr * mh / (np.sqrt(vh) + 1e-8)
+        # Descent on the negated ascent gradient, which includes -l2*theta.
+        self._opt.step({k: self.l2 * theta - grads[k] for k, theta in self._params().items()})

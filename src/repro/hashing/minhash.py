@@ -99,9 +99,14 @@ def _scores(w: np.ndarray, d: int, variant: str, seed: int) -> np.ndarray:
         # pcws: single exponential in place of the gamma.
         return np.log(-np.log(u4)) - ln_y - r
     if variant == "ccws":
-        t = np.floor(w[None, :] / r + b)
-        y = r * (t - b)
-        return c / (y + r)
+        # c / (r (t - b) + r) with t = floor(w / r + b), in one buffer.
+        a = np.divide(w, r)
+        a += b
+        np.floor(a, out=a)
+        a -= b
+        a *= r
+        a += r
+        return np.divide(c, a, out=a)
     raise ValueError(f"unknown MinHash variant {variant!r}; choose from {VARIANTS}")
 
 

@@ -1,14 +1,17 @@
-"""Linear SVM from scratch, and the column standardisation the models share.
+"""Linear SVM from scratch, and the column standardisation and Adam
+optimiser the numpy models share.
 
 The linear SVM (squared-hinge, L2) is a Table V replacement downstream
 task, trained with full-batch Adam — the inputs are small (a few
-thousand rows), so batching machinery would be dead weight.
+thousand rows), so batching machinery would be dead weight. ``Adam`` is
+the one optimiser: the SVM, the ``FullBatchNet`` models (MLP, ResNet)
+and the policy agents all step through it.
 """
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["standardize_fit", "standardize_apply", "LinearSVM"]
+__all__ = ["standardize_fit", "standardize_apply", "Adam", "LinearSVM"]
 
 
 def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -23,22 +26,30 @@ def standardize_apply(X: np.ndarray, mu: np.ndarray, sd: np.ndarray) -> np.ndarr
     return (X - mu) / sd
 
 
-class _AdamOpt:
-    """Adam (Kingma & Ba 2014) over a flat parameter vector."""
+class Adam:
+    """Adam (Kingma & Ba 2014) over named parameter arrays.
 
-    def __init__(self, n_params: int, lr: float = 0.01):
+    One first and second moment per array; ``step`` moves every array in
+    place against its gradient.
+    """
+
+    def __init__(self, params: dict[str, np.ndarray], lr: float):
+        self.params = params
         self.lr = lr
-        self.m = np.zeros(n_params)
-        self.v = np.zeros(n_params)
+        self.m = {k: np.zeros_like(p) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p) for k, p in params.items()}
         self.t = 0
 
-    def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        self.m = 0.9 * self.m + 0.1 * grad
-        self.v = 0.999 * self.v + 0.001 * grad**2
-        mh = self.m / (1 - 0.9**self.t)
-        vh = self.v / (1 - 0.999**self.t)
-        return params - self.lr * mh / (np.sqrt(vh) + 1e-8)
+        c1, c2 = 1 - 0.9**self.t, 1 - 0.999**self.t
+        for k, p in self.params.items():
+            g, m, v = grads[k], self.m[k], self.v[k]
+            m *= 0.9
+            m += 0.1 * g
+            v *= 0.999
+            v += 0.001 * g**2
+            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + 1e-8)
 
 
 class LinearSVM:
@@ -54,13 +65,13 @@ class LinearSVM:
         n, f1 = Xb.shape
         rng = np.random.default_rng(self.seed)
         w = rng.normal(scale=0.01, size=f1)
-        opt = _AdamOpt(f1, lr=self.lr)
+        opt = Adam({"w": w}, self.lr)
         for _ in range(self.epochs):
             margin = 1.0 - t * (Xb @ w)
             active = margin > 0
             g = -(Xb[active].T @ (t[active] * margin[active])) * 2.0 / n
             g[:-1] += self.l2 * w[:-1]
-            w = opt.step(w, g)
+            opt.step({"w": g})
         return w
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LinearSVM":

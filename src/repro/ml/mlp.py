@@ -1,20 +1,88 @@
-"""Multi-layer perceptron (Table V's 'MLP'; also FE|DL's DL stage).
+"""Full-batch neural trainer, and the multi-layer perceptron built on it.
 
-Two ReLU hidden layers, softmax cross-entropy for classification or MSE
-for regression, full-batch Adam, manual backprop — the box has no
-autograd framework, and the roster datasets are small enough that
-full-batch training is both simpler and faster than minibatching.
+``FullBatchNet`` is the one training loop of the numpy networks: NaN
+scrub and standardisation, class or target encoding, the softmax
+cross-entropy (classification) or MSE (regression) gradient, L2 on the
+weight matrices only, and full-batch Adam with manual backprop — the box
+has no autograd framework, and the roster datasets are small enough that
+full-batch training is both simpler and faster than minibatching. A
+subclass gives only its architecture: ``_init`` (named parameters; names
+starting with ``W`` get the L2), ``_forward`` (logits and a cache) and
+``_backward`` (named gradients from the cache).
+
+``MLP`` (Table V's 'MLP'; also FE|DL's DL stage and the FPE's feature
+pre-selector): ReLU hidden layers, linear head.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .linear import standardize_apply, standardize_fit
+from .linear import Adam, standardize_apply, standardize_fit
 
-__all__ = ["MLP"]
+__all__ = ["FullBatchNet", "MLP"]
 
 
-class MLP:
+def _finite(X: np.ndarray) -> np.ndarray:
+    return np.nan_to_num(np.asarray(X, dtype=np.float64), nan=0.0, posinf=0.0, neginf=0.0)
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    p = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return p / p.sum(axis=1, keepdims=True)
+
+
+class FullBatchNet:
+    def __init__(self, task: str, lr: float, epochs: int, l2: float, seed: int):
+        if task not in ("C", "R"):
+            raise ValueError("task must be 'C' or 'R'")
+        self.task = task
+        self.lr = lr
+        self.epochs = epochs
+        self.l2 = l2
+        self.seed = seed
+
+    def _standardize(self, X: np.ndarray) -> np.ndarray:
+        return standardize_apply(_finite(X), self._mu, self._sd)
+
+    def fit(self, X: np.ndarray, y: np.ndarray):
+        self._mu, self._sd = standardize_fit(_finite(X))
+        Xs = self._standardize(X)
+        y = np.asarray(y)
+        n = len(Xs)
+        if self.task == "C":
+            self.classes_, y_enc = np.unique(y, return_inverse=True)
+            T = np.eye(len(self.classes_))[y_enc]
+        else:
+            self._ym, self._ys = float(np.mean(y)), float(np.std(y) or 1.0)
+            T = ((y.astype(np.float64) - self._ym) / self._ys)[:, None]
+        self._p = self._init(Xs.shape[1], T.shape[1], np.random.default_rng(self.seed))
+        opt = Adam(self._p, self.lr)
+        for _ in range(self.epochs):
+            logits, cache = self._forward(Xs)
+            if self.task == "C":
+                dlogits = (_softmax(logits) - T) / n
+            else:
+                dlogits = 2.0 * (logits - T) / n
+            g = self._backward(cache, dlogits)
+            for k, w in self._p.items():
+                if k.startswith("W"):
+                    g[k] += self.l2 * w
+            opt.step(g)
+        return self
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        logits, _ = self._forward(self._standardize(X))
+        if self.task == "C":
+            return self.classes_[np.argmax(logits, axis=1)]
+        return logits[:, 0] * self._ys + self._ym
+
+    def class_proba(self, X: np.ndarray, label) -> np.ndarray:
+        """Per row, the softmax probability of class ``label``."""
+        logits, _ = self._forward(self._standardize(X))
+        return _softmax(logits)[:, list(self.classes_).index(label)]
+
+
+class MLP(FullBatchNet):
     def __init__(
         self,
         task: str = "C",
@@ -24,91 +92,29 @@ class MLP:
         l2: float = 1e-4,
         seed: int = 0,
     ):
-        if task not in ("C", "R"):
-            raise ValueError("task must be 'C' or 'R'")
-        self.task = task
+        super().__init__(task, lr, epochs, l2, seed)
         self.hidden = hidden
-        self.lr = lr
-        self.epochs = epochs
-        self.l2 = l2
-        self.seed = seed
 
-    def _init_params(self, sizes: list[int], rng: np.random.Generator):
-        self._W = [
-            rng.normal(scale=np.sqrt(2.0 / sizes[i]), size=(sizes[i], sizes[i + 1]))
-            for i in range(len(sizes) - 1)
-        ]
-        self._b = [np.zeros(sizes[i + 1]) for i in range(len(sizes) - 1)]
+    def _init(self, in_dim: int, out_dim: int, rng: np.random.Generator):
+        sizes = [in_dim, *self.hidden, out_dim]
+        p = {}
+        for i, (a, b) in enumerate(zip(sizes, sizes[1:])):
+            p[f"W{i}"] = rng.normal(scale=np.sqrt(2.0 / a), size=(a, b))
+            p[f"b{i}"] = np.zeros(b)
+        return p
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "MLP":
-        X = np.nan_to_num(np.asarray(X, dtype=np.float64), nan=0.0, posinf=0.0, neginf=0.0)
-        y = np.asarray(y)
-        self._mu, self._sd = standardize_fit(X)
-        Xs = standardize_apply(X, self._mu, self._sd)
-        n = len(Xs)
-        rng = np.random.default_rng(self.seed)
-        if self.task == "C":
-            self.classes_, y_enc = np.unique(y, return_inverse=True)
-            out_dim = len(self.classes_)
-            T = np.zeros((n, out_dim))
-            T[np.arange(n), y_enc] = 1.0
-        else:
-            out_dim = 1
-            self._ym, self._ys = float(np.mean(y)), float(np.std(y) or 1.0)
-            T = ((y.astype(np.float64) - self._ym) / self._ys)[:, None]
-        sizes = [Xs.shape[1], *self.hidden, out_dim]
-        self._init_params(sizes, rng)
-        mW = [np.zeros_like(w) for w in self._W]
-        vW = [np.zeros_like(w) for w in self._W]
-        mb = [np.zeros_like(b) for b in self._b]
-        vb = [np.zeros_like(b) for b in self._b]
-        for t in range(1, self.epochs + 1):
-            acts = self._forward(Xs)
-            logits = acts[-1]
-            if self.task == "C":
-                z = logits - logits.max(axis=1, keepdims=True)
-                p = np.exp(z)
-                p /= p.sum(axis=1, keepdims=True)
-                delta = (p - T) / n
-            else:
-                delta = 2.0 * (logits - T) / n
-            gW, gb = self._backward(acts, delta)
-            for i in range(len(self._W)):
-                gW[i] += self.l2 * self._W[i]
-                mW[i] = 0.9 * mW[i] + 0.1 * gW[i]
-                vW[i] = 0.999 * vW[i] + 0.001 * gW[i] ** 2
-                self._W[i] -= self.lr * (mW[i] / (1 - 0.9**t)) / (
-                    np.sqrt(vW[i] / (1 - 0.999**t)) + 1e-8
-                )
-                mb[i] = 0.9 * mb[i] + 0.1 * gb[i]
-                vb[i] = 0.999 * vb[i] + 0.001 * gb[i] ** 2
-                self._b[i] -= self.lr * (mb[i] / (1 - 0.9**t)) / (
-                    np.sqrt(vb[i] / (1 - 0.999**t)) + 1e-8
-                )
-        return self
-
-    def _forward(self, Xs: np.ndarray) -> list[np.ndarray]:
+    def _forward(self, Xs: np.ndarray):
         acts = [Xs]
-        h = Xs
-        for i in range(len(self._W) - 1):
-            h = np.maximum(h @ self._W[i] + self._b[i], 0.0)
-            acts.append(h)
-        acts.append(h @ self._W[-1] + self._b[-1])
-        return acts
+        out = len(self.hidden)
+        for i in range(out):
+            acts.append(np.maximum(acts[-1] @ self._p[f"W{i}"] + self._p[f"b{i}"], 0.0))
+        return acts[-1] @ self._p[f"W{out}"] + self._p[f"b{out}"], acts
 
     def _backward(self, acts: list[np.ndarray], delta: np.ndarray):
-        gW = [np.zeros_like(w) for w in self._W]
-        gb = [np.zeros_like(b) for b in self._b]
-        for i in range(len(self._W) - 1, -1, -1):
-            gW[i] = acts[i].T @ delta
-            gb[i] = delta.sum(axis=0)
+        g = {}
+        for i in range(len(self.hidden), -1, -1):
+            g[f"W{i}"] = acts[i].T @ delta
+            g[f"b{i}"] = delta.sum(axis=0)
             if i > 0:
-                delta = (delta @ self._W[i].T) * (acts[i] > 0)
-        return gW, gb
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.nan_to_num(np.asarray(X, dtype=np.float64), nan=0.0, posinf=0.0, neginf=0.0)
-        logits = self._forward(standardize_apply(X, self._mu, self._sd))[-1]
-        if self.task == "C":
-            return self.classes_[np.argmax(logits, axis=1)]
-        return logits[:, 0] * self._ys + self._ym
+                delta = (delta @ self._p[f"W{i}"].T) * (acts[i] > 0)
+        return g

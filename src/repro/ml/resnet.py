@@ -9,18 +9,19 @@ for those pipelines.
 
 Architecture: input linear projection to ``width``, then ``n_blocks``
 residual blocks (Linear -> ReLU -> Linear, identity skip), ReLU, linear
-head. Full-batch Adam with manual backprop.
+head. Trained by ``mlp.FullBatchNet``; this class holds only the
+architecture.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .linear import standardize_apply, standardize_fit
+from .mlp import FullBatchNet
 
 __all__ = ["TabularResNet"]
 
 
-class TabularResNet:
+class TabularResNet(FullBatchNet):
     def __init__(
         self,
         task: str = "C",
@@ -31,17 +32,9 @@ class TabularResNet:
         l2: float = 1e-4,
         seed: int = 0,
     ):
-        if task not in ("C", "R"):
-            raise ValueError("task must be 'C' or 'R'")
-        self.task = task
+        super().__init__(task, lr, epochs, l2, seed)
         self.width = width
         self.n_blocks = n_blocks
-        self.lr = lr
-        self.epochs = epochs
-        self.l2 = l2
-        self.seed = seed
-
-    # -- parameter bookkeeping ----------------------------------------------
 
     def _init(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         w = self.width
@@ -49,19 +42,19 @@ class TabularResNet:
         def lin(a, b):
             return rng.normal(scale=np.sqrt(2.0 / a), size=(a, b))
 
-        self._p: dict[str, np.ndarray] = {"W_in": lin(in_dim, w), "b_in": np.zeros(w)}
+        p = {"W_in": lin(in_dim, w), "b_in": np.zeros(w)}
         for i in range(self.n_blocks):
-            self._p[f"W{i}a"] = lin(w, w)
-            self._p[f"b{i}a"] = np.zeros(w)
-            self._p[f"W{i}b"] = lin(w, w) * 0.1  # near-identity residual init
-            self._p[f"b{i}b"] = np.zeros(w)
-        self._p["W_out"] = lin(w, out_dim)
-        self._p["b_out"] = np.zeros(out_dim)
+            p[f"W{i}a"] = lin(w, w)
+            p[f"b{i}a"] = np.zeros(w)
+            p[f"W{i}b"] = lin(w, w) * 0.1  # near-identity residual init
+            p[f"b{i}b"] = np.zeros(w)
+        p["W_out"] = lin(w, out_dim)
+        p["b_out"] = np.zeros(out_dim)
+        return p
 
     def _forward(self, Xs: np.ndarray):
-        cache: dict[str, np.ndarray] = {}
+        cache: dict[str, np.ndarray] = {"X": Xs}
         h = Xs @ self._p["W_in"] + self._p["b_in"]
-        cache["h_in"] = h
         for i in range(self.n_blocks):
             cache[f"x{i}"] = h
             a = np.maximum(h @ self._p[f"W{i}a"] + self._p[f"b{i}a"], 0.0)
@@ -73,10 +66,8 @@ class TabularResNet:
         logits = rep @ self._p["W_out"] + self._p["b_out"]
         return logits, cache
 
-    def _backward(self, Xs: np.ndarray, cache: dict, dlogits: np.ndarray):
-        g = {k: np.zeros_like(v) for k, v in self._p.items()}
-        g["W_out"] = cache["rep"].T @ dlogits
-        g["b_out"] = dlogits.sum(0)
+    def _backward(self, cache: dict, dlogits: np.ndarray):
+        g = {"W_out": cache["rep"].T @ dlogits, "b_out": dlogits.sum(0)}
         dh = (dlogits @ self._p["W_out"].T) * (cache["h_last"] > 0)
         for i in range(self.n_blocks - 1, -1, -1):
             da = dh @ self._p[f"W{i}b"].T
@@ -86,61 +77,10 @@ class TabularResNet:
             g[f"W{i}a"] = cache[f"x{i}"].T @ da
             g[f"b{i}a"] = da.sum(0)
             dh = dh + da @ self._p[f"W{i}a"].T  # skip path + block path
-        g["W_in"] = Xs.T @ dh
+        g["W_in"] = cache["X"].T @ dh
         g["b_in"] = dh.sum(0)
         return g
 
-    # -- training -------------------------------------------------------------
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "TabularResNet":
-        X = np.nan_to_num(np.asarray(X, dtype=np.float64), nan=0.0, posinf=0.0, neginf=0.0)
-        y = np.asarray(y)
-        self._mu, self._sd = standardize_fit(X)
-        Xs = standardize_apply(X, self._mu, self._sd)
-        n = len(Xs)
-        rng = np.random.default_rng(self.seed)
-        if self.task == "C":
-            self.classes_, y_enc = np.unique(y, return_inverse=True)
-            out_dim = len(self.classes_)
-            T = np.zeros((n, out_dim))
-            T[np.arange(n), y_enc] = 1.0
-        else:
-            out_dim = 1
-            self._ym, self._ys = float(np.mean(y)), float(np.std(y) or 1.0)
-            T = ((y.astype(np.float64) - self._ym) / self._ys)[:, None]
-        self._init(Xs.shape[1], out_dim, rng)
-        m = {k: np.zeros_like(v) for k, v in self._p.items()}
-        v = {k: np.zeros_like(vv) for k, vv in self._p.items()}
-        for t in range(1, self.epochs + 1):
-            logits, cache = self._forward(Xs)
-            if self.task == "C":
-                z = logits - logits.max(axis=1, keepdims=True)
-                p = np.exp(z)
-                p /= p.sum(axis=1, keepdims=True)
-                dlogits = (p - T) / n
-            else:
-                dlogits = 2.0 * (logits - T) / n
-            g = self._backward(Xs, cache, dlogits)
-            for k in self._p:
-                gk = g[k] + (self.l2 * self._p[k] if k.startswith("W") else 0.0)
-                m[k] = 0.9 * m[k] + 0.1 * gk
-                v[k] = 0.999 * v[k] + 0.001 * gk**2
-                self._p[k] -= self.lr * (m[k] / (1 - 0.9**t)) / (
-                    np.sqrt(v[k] / (1 - 0.999**t)) + 1e-8
-                )
-        return self
-
-    # -- inference --------------------------------------------------------------
-
     def transform(self, X: np.ndarray) -> np.ndarray:
         """Penultimate-layer representation (the 'DL features')."""
-        X = np.nan_to_num(np.asarray(X, dtype=np.float64), nan=0.0, posinf=0.0, neginf=0.0)
-        _, cache = self._forward(standardize_apply(X, self._mu, self._sd))
-        return cache["rep"]
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.nan_to_num(np.asarray(X, dtype=np.float64), nan=0.0, posinf=0.0, neginf=0.0)
-        logits, _ = self._forward(standardize_apply(X, self._mu, self._sd))
-        if self.task == "C":
-            return self.classes_[np.argmax(logits, axis=1)]
-        return logits[:, 0] * self._ys + self._ym
+        return self._forward(self._standardize(X))[1]["rep"]

@@ -107,6 +107,37 @@ class TestConstantInput:
         assert r.best_score == r.base_score
 
 
+def _degenerate_inputs():
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(90, 4))
+    y = (X[:, 0] + X[:, 1] > 0).astype(int)
+    dirty = X.copy()
+    dirty[3, 0], dirty[7, 1], dirty[11, 2] = np.nan, np.inf, -np.inf
+    one_of_class = y.copy()
+    one_of_class[0] = 2  # a class with one row: at most one fold sees it
+    return {
+        "nan_inf": (dirty, y, "C"),
+        "fold_missing_class": (X, one_of_class, "C"),
+        "n_5": (X[:5], np.array([0, 1, 0, 1, 1]), "C"),
+        "constant_target": (X, np.full(90, 3.0), "R"),
+    }
+
+
+class TestDegenerateInputs:
+    """Each RF method finishes on degenerate inputs and reports a finite
+    score no worse than its base score."""
+
+    @pytest.mark.parametrize("case", sorted(_degenerate_inputs()))
+    @pytest.mark.parametrize("method", ["E-AFE", "NFS", "FS_R"])
+    def test_finishes(self, method, case, fpe):
+        X, y, task = _degenerate_inputs()[case]
+        m = METHODS[method]
+        kw = {"fpe": fpe} if m.variant else {}
+        r = m.runner(X, y, task, cfg=replace(TINY, **m.overrides), **kw)
+        assert np.isfinite(r.best_score)
+        assert r.best_score >= r.base_score
+
+
 class TestRandomPool:
     def test_pool_size_and_orders(self):
         X = np.random.default_rng(0).normal(size=(50, 4))

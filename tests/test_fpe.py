@@ -7,6 +7,7 @@ from repro.core.fpe import (
     FPEModel,
     _label_one_dataset,
     _random_spec,
+    _safe_corr,
     feature_signature,
     label_corpus,
 )
@@ -75,6 +76,11 @@ class TestSignature:
         context = x[:, None]
         sig = feature_signature(x, y, "C", d=16, context=context, exclude=0)
         assert sig[-2] == 0.0  # only column excluded -> no redundancy signal
+
+    def test_near_constant_column_corr_is_zero(self):
+        a, b = np.full(48, 0.1), np.linspace(0.0, 1.0, 48)
+        assert a.std() > 0  # rounding: a std() == 0 test lets this column through
+        assert _safe_corr(a, b) == 0.0 and _safe_corr(b, a) == 0.0
 
     def test_values_bounded(self):
         x, y = self._xy()

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.core.policy import AgentPolicy, state_embedding
 from repro.ml.gp import GPRegressor
 from repro.ml.linear import LinearSVM, standardize_apply, standardize_fit
 from repro.ml.metrics import f1_score, one_minus_rae
@@ -168,3 +169,80 @@ class TestTabularResNet:
         a = TabularResNet(task="C", seed=5, epochs=40).fit(X, y).transform(X[:5])
         b = TabularResNet(task="C", seed=5, epochs=40).fit(X, y).transform(X[:5])
         np.testing.assert_allclose(a, b)
+
+
+class TestGoldenOutputs:
+    """Exact outputs of every Adam-trained model, compared with ``==``: a
+    change to the optimiser or the shared trainer must keep their
+    arithmetic bit for bit. The learning tests above only check that each
+    model learns."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        rng = np.random.default_rng(11)
+        X = np.c_[rng.normal(size=(40, 3)), np.full(40, 2.5)]
+        y_c = rng.integers(0, 3, size=40)
+        y_r = X[:, 0] - 2.0 * X[:, 1] + 0.1 * rng.normal(size=40)
+        X_dirty = X.copy()
+        X_dirty[0, 1] = np.nan
+        X_dirty[1, 2] = np.inf
+        return X, X_dirty, y_c, y_r
+
+    def test_mlp(self, data):
+        _, X, y_c, y_r = data
+        m = MLP(task="C", hidden=(5, 4), epochs=12, seed=3).fit(X, y_c)
+        assert m.predict(X[:8]).tolist() == [2, 0, 2, 2, 2, 2, 2, 1]
+        assert [m.class_proba(X[:2], c).tolist() for c in (0, 1, 2)] == [
+            [0.3556831007346946, 0.42279705508291177],
+            [0.28538461875065846, 0.3439387690096264],
+            [0.3589322805146469, 0.23326417590746193],
+        ]
+        m = MLP(task="R", hidden=(5,), epochs=12, seed=3).fit(X, y_r)
+        assert m.predict(X[:3]).tolist() == [
+            0.1724001048521943, 1.8653470183325398, 0.44784172505804404
+        ]
+
+    def test_resnet(self, data):
+        _, X, y_c, y_r = data
+        m = TabularResNet(task="C", width=3, n_blocks=2, epochs=12, seed=3).fit(X, y_c)
+        assert m.predict(X[:8]).tolist() == [0, 2, 0, 1, 0, 0, 0, 2]
+        assert m.transform(X[:2]).tolist() == [
+            [0.0, 0.0, 0.0], [0.0, 0.4798871896150449, 0.19202092142108282]
+        ]
+        m = TabularResNet(task="R", width=3, n_blocks=1, epochs=12, seed=3).fit(X, y_r)
+        assert m.predict(X[:3]).tolist() == [
+            0.4521514671860087, 0.2776333052516396, 0.7555133440917448
+        ]
+
+    def test_linear_svm(self, data):
+        X, _, y_c, _ = data
+        m = LinearSVM(epochs=12, seed=3).fit(X, y_c)
+        assert m.decision_function(X[:2]).tolist() == [
+            [-1.153443985674754, -0.5875192052283353, 0.4472109462525442],
+            [0.1314721300928688, -0.4463350989368491, -0.9883896390424444],
+        ]
+
+    def test_agent_policy(self):
+        a = AgentPolicy(hidden=3, seed=4)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            a.reset()
+            steps = []
+            for t in range(4):
+                _, cache = a.act(state_embedding(rng.normal(size=20), 3, t))
+                steps.append((cache, float(rng.normal())))
+            a.update(steps)
+        assert a.bh.tolist() == [
+            -0.02581084672383359, 0.008934784639753718, -0.023655419728105125
+        ]
+        assert a.bo.tolist() == [
+            -0.025495801190263404, 0.0031079584906686013, -0.024782270587704845,
+            0.020953180410513916, -0.022386646031811452, -0.0028315493657531656,
+            -0.02299924156026984, 0.02355452534070035, -0.003119855790126993,
+        ]
+        # The next step's distribution reads every weight (Wx, Wh, bh, Wo, bo).
+        assert a.probs(state_embedding(np.arange(6.0), 3, 1))[0].tolist() == [
+            0.16150547462374568, 0.08186399140460451, 0.11724317217241058,
+            0.1433100792216023, 0.11678901226601993, 0.0494189460131247,
+            0.084198427693935, 0.11629296493379203, 0.12937793167076525,
+        ]
