@@ -4,12 +4,13 @@ AutoFS (Fan et al., ICDM'20) is RL feature *selection* without feature
 generation, so the paper pairs it with *randomly generated* features:
 "we generated features randomly and selected features by AutoFS".
 
-Reproduction: a pool of uniformly random transformation specs (same
-operator set and max order, no policy), then a multi-agent bandit
-selection loop — one selection agent per pooled feature holding a
-preference Q, trained from the downstream reward of tentatively adding
-its feature, which is the single-agent-per-feature essence of AutoFS.
-Every tentative addition is one downstream evaluation (Table IV counts).
+Reproduction (a substitution, DESIGN.md §3): a pool of uniformly random
+transformation specs (same operator set and max order, no policy), then
+greedy forward selection in place of AutoFS's multi-agent RL selection.
+The pooled features are visited once each, in random order; each visit
+scores the state with the feature added, one downstream evaluation
+(Table IV counts), and the feature joins the state when its gain
+exceeds ``accept_margin``.
 """
 from __future__ import annotations
 
@@ -62,31 +63,19 @@ def run_autofs_r(
     # Random generation, same budget as the RL methods' formal step count.
     n_pool = cfg.max_agents * cfg.steps_per_agent * cfg.epochs_stage2
     t0 = time.perf_counter()
-    pool = random_pool(Xk, n_pool, cfg.max_order, rng)
-    values = [v if is_usable(v) else None for v in (s.to_numpy(Xk) for s in pool)]
+    pool = [(s, s.to_numpy(Xk)) for s in random_pool(Xk, n_pool, cfg.max_order, rng)]
+    usable = [is_usable(v) for _, v in pool]
     res.gen_time += time.perf_counter() - t0
-    res.n_generated = sum(v is not None for v in values)
+    res.n_generated = sum(usable)
 
-    # Bandit selection: preference per pooled feature, softmax exploration.
-    q = np.zeros(len(pool))
-    visited = np.zeros(len(pool), dtype=bool)
-    selected: list[int] = []
-    order = rng.permutation(len(pool))
-    for idx in order:
-        if values[idx] is None:
+    for idx in rng.permutation(len(pool)):
+        if not usable[idx]:
             continue
-        # Epsilon-greedy over the unvisited pool, biased by learned Q of
-        # structurally similar specs (shared root operator).
-        if visited[idx]:
-            continue
-        visited[idx] = True
-        s = state.evaluate(values[idx])
-        gain = s - state.score
-        q[idx] += gain
-        if gain > cfg.accept_margin:
-            state.add(values[idx], s)
-            selected.append(idx)
+        spec, values = pool[idx]
+        s = state.evaluate(values)
+        if s - state.score > cfg.accept_margin:
+            state.add(spec, values, s)
             if state.full:
                 break
         res.history.append(res.best_score)
-    return state.report([pool[j] for j in selected])
+    return state.report()

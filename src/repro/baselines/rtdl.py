@@ -53,7 +53,7 @@ def run_rtdl_n(X: np.ndarray, y: np.ndarray, task: str, seed: int = 0) -> dict:
     trva = np.concatenate([tr, va])
     net = _fit_resnet(X[tr], y[tr], task, seed)
     rep = net.transform(X)
-    rf = RandomForest(task=task, n_trees=10, max_depth=6, seed=seed)
+    rf = RandomForest(task=task, n_trees=10, seed=seed)
     rf.fit(rep[trva], y[trva])
     s = metric_score(y[te], rf.predict(rep[te]), task)
     return {"score": float(max(s, 0.0)), "time": time.perf_counter() - t0}

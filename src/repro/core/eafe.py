@@ -26,7 +26,7 @@ import numpy as np
 
 from ..ml.forest import BinnedFolds, RandomForest, cross_val_score
 from .fpe import FPEModel
-from .operators import ALL_OPS, BINARY_OPS
+from .operators import ALL_OPS, BINARY_OPS, numpy_op
 from .policy import AgentPolicy, state_embedding
 from .replay import ReplayBuffer
 from .rewards import discounted_returns, lambda_returns, pseudo_score
@@ -42,6 +42,10 @@ __all__ = [
     "build_feature_matrix",
 ]
 
+
+# A generated (or original) feature: its spec and its column, which is
+# always ``spec.to_numpy`` of the run's matrix.
+Feature = tuple[FeatureSpec, np.ndarray]
 
 GATES = ("fpe", "dropout", "none")
 # E-AFE_D's random gate: the 0.5 dropout ablation of the FPE.
@@ -110,7 +114,9 @@ class AFEResult:
     total_time: float = 0.0
     selected_specs: list[FeatureSpec] = field(default_factory=list)
     feature_names: list[str] = field(default_factory=list)
-    history: list[float] = field(default_factory=list)  # best score per epoch
+    # Best score so far, after each epoch (RL methods) or each
+    # evaluation (FS_R).
+    history: list[float] = field(default_factory=list)
     # Original-column indices the run kept (RF-importance pre-selection);
     # selected specs index into X[:, kept_columns].
     kept_columns: np.ndarray | None = None
@@ -124,7 +130,7 @@ def select_important_features(
     feature importance via RF'). Returns kept column indices."""
     if X.shape[1] <= max_features:
         return np.arange(X.shape[1])
-    rf = RandomForest(task=task, n_trees=10, max_depth=6, seed=seed)
+    rf = RandomForest(task=task, n_trees=10, seed=seed)
     rf.fit(X, y)
     return np.sort(np.argsort(-rf.feature_importances_)[:max_features])
 
@@ -139,10 +145,11 @@ class FeatureState:
     the candidate's column. ``evaluate`` is one downstream evaluation of a
     candidate, counted in ``res.n_evaluated`` (Table IV); the base score
     and every evaluation are timed into ``res.eval_time``. ``add`` accepts
-    a candidate at the score that ``evaluate`` gave it, so ``score`` is
-    always the matrix's own score, and tracks ``res.best_score``. The
-    state holds at most ``cfg.max_state_features`` accepted columns.
-    ``report`` ends the run under the final-report protocol.
+    a candidate ``(spec, values)`` at the score that ``evaluate`` gave it,
+    so ``score`` is always the matrix's own score, and tracks
+    ``res.best_score``. The state holds at most ``cfg.max_state_features``
+    accepted features. ``report`` ends the run under the final-report
+    protocol.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, task: str, cfg: AFEConfig):
@@ -150,7 +157,7 @@ class FeatureState:
         keep = select_important_features(X, y, task, cfg.max_agents, cfg.seed)
         self.X = np.asarray(X, dtype=np.float64)[:, keep]
         self.y, self.task, self.cfg = np.asarray(y), task, cfg
-        self.columns: list[np.ndarray] = []
+        self.features: list[Feature] = []  # accepted, in order
         t0 = time.perf_counter()
         self.binned = BinnedFolds(self.X, self.y, task, k=cfg.cv_k, seed=cfg.seed)
         self.score = self._cv(self.binned)
@@ -167,7 +174,11 @@ class FeatureState:
 
     @property
     def full(self) -> bool:
-        return len(self.columns) >= self.cfg.max_state_features
+        return len(self.features) >= self.cfg.max_state_features
+
+    @property
+    def specs(self) -> list[FeatureSpec]:
+        return [s for s, _ in self.features]
 
     def evaluate(self, values: np.ndarray) -> float:
         """Score of the state with the candidate column ``values`` added."""
@@ -177,26 +188,25 @@ class FeatureState:
         self.res.n_evaluated += 1
         return s
 
-    def add(self, values: np.ndarray, score: float) -> None:
+    def add(self, spec: FeatureSpec, values: np.ndarray, score: float) -> None:
         if self.full:
             raise ValueError("the state holds max_state_features columns already")
         self.binned = self.binned.append(values)
-        self.columns.append(values)
+        self.features.append((spec, values))
         self.score = score
         self.res.best_score = max(self.res.best_score, score)
 
     def matrix(self) -> np.ndarray | None:
         """The state matrix, or None while no column is accepted."""
-        if not self.columns:
+        if not self.features:
             return None
-        return np.concatenate([self.X] + [v[:, None] for v in self.columns], axis=1)
+        return np.concatenate([self.X] + [v[:, None] for _, v in self.features], axis=1)
 
-    def report(self, specs: list[FeatureSpec]) -> AFEResult:
-        """Finish the run: ``specs`` are the accepted columns' specs, in
-        order. Credits the result under ``final_report`` and stops the
-        clock."""
+    def report(self) -> AFEResult:
+        """Finish the run: credit the result, with the accepted specs as
+        its selected set, under ``final_report`` and stop the clock."""
         res = self.res
-        res.selected_specs = list(specs)
+        res.selected_specs = self.specs
         res.feature_names = [s.name for s in res.selected_specs]
         final_report(res, self.X, self.matrix(), self.y, self.task, self.cfg)
         res.total_time = time.perf_counter() - self._t_start
@@ -220,9 +230,9 @@ class _Engine:
         self.task = task
         self.base_score = self.state.score
         self.n_agents = self.X.shape[1]
-        # Subgroups: per agent, list of (spec, values). Specs use local
-        # column indices into self.X.
-        self.subgroups: list[list[tuple[FeatureSpec, np.ndarray]]] = [
+        # Subgroups: per agent, its features. Specs use local column
+        # indices into self.X.
+        self.subgroups: list[list[Feature]] = [
             [(leaf(i), self.X[:, i])] for i in range(self.n_agents)
         ]
         self.agents = [
@@ -230,46 +240,37 @@ class _Engine:
         ]
         self.buffer = ReplayBuffer()
         self._p_seen: list[float] = []
-        # Accepted engineered features (beyond originals); their values
-        # are the state's columns, in the same order.
-        self.accepted: list[FeatureSpec] = []
         self.seen: set[str] = {f"f{i}" for i in range(self.n_agents)}
 
     # -- helpers --------------------------------------------------------------
 
-    def _generate(self, agent_idx: int, parent: FeatureSpec | None = None):
+    def _generate(self, agent_idx: int, parent: Feature | None = None):
         """One action: sample parents, pick an operator via the policy,
         build the candidate spec + values. Returns None if the candidate
         is a duplicate or would exceed the maximum order."""
         t0 = time.perf_counter()
         sub = self.subgroups[agent_idx]
-        if parent is not None:
-            s1 = parent
-            v1 = s1.to_numpy(self.X)
-        else:
-            s1, v1 = sub[self.rng.integers(0, len(sub))]
-        x_emb = state_embedding(v1, len(sub), len(self.res.history))
+        first = parent or sub[self.rng.integers(0, len(sub))]
+        x_emb = state_embedding(first[1], len(sub), len(self.res.history))
         a, cache = self.agents[agent_idx].act(x_emb)
-        out = self._build_candidate(agent_idx, ALL_OPS[a], s1)
+        out = self._build_candidate(agent_idx, ALL_OPS[a], first)
         self.res.gen_time += time.perf_counter() - t0
         return out, cache
 
-    def _build_candidate(self, agent_idx: int, op: str, s1: FeatureSpec | None):
-        """Apply ``op`` to (sampled) parents from the agent's subgroup;
-        returns (spec, values) or None for over-order / duplicate /
-        degenerate candidates. Policy-free — callers decide the action."""
+    def _build_candidate(self, agent_idx: int, op: str, first: Feature | None):
+        """Apply ``op`` to ``first`` (or a sampled parent) and a sampled
+        second parent from the agent's subgroup, composing the parents'
+        values; returns (spec, values) or None for over-order / duplicate
+        / degenerate candidates. Policy-free — callers decide the action.
+        A unary ``op`` ignores the second parent, which is drawn anyway."""
         sub = self.subgroups[agent_idx]
-        if s1 is None:
-            s1, _ = sub[self.rng.integers(0, len(sub))]
-        s2, _ = sub[self.rng.integers(0, len(sub))]
-        if op in BINARY_OPS:
-            spec = apply_op(op, s1, s2)
-        else:
-            spec = apply_op(op, s1)
+        s1, v1 = first or sub[self.rng.integers(0, len(sub))]
+        s2, v2 = sub[self.rng.integers(0, len(sub))]
+        spec = apply_op(op, s1, s2) if op in BINARY_OPS else apply_op(op, s1)
         if spec.order > self.cfg.max_order or (self.unique and spec.name in self.seen):
             return None
         self.seen.add(spec.name)
-        values = spec.to_numpy(self.X)
+        values = numpy_op(op, v1, v2)
         # Degenerate candidates (constant or non-finite, e.g. sub(f,f))
         # are not countable "new features" — nothing could evaluate them.
         if not is_usable(values):
@@ -296,7 +297,7 @@ class _Engine:
         keep = bool(self.rng.random() < DROPOUT_KEEP)
         return keep, (0.75 if keep else 0.25)
 
-    def _best_proposal(self, agent_idx: int, out, op: str, parent: FeatureSpec | None):
+    def _best_proposal(self, agent_idx: int, out, op: str, parent: Feature | None):
         """Best-of-``PROPOSALS`` behind the FPE gate: ``out`` plus the same
         action ``op`` on fresh parent samples; returns (keep, spec,
         values, p) for the FPE-top proposal."""
@@ -336,11 +337,6 @@ class _Engine:
             return pseudo_score(p, a)
         return pseudo_score(p, a, self.fpe.d_a_max, self.fpe.d_a_min, self.fpe.thre)
 
-    def _accept(self, spec: FeatureSpec, values: np.ndarray, score: float):
-        self.accepted.append(spec)
-        self.state.add(values, score)
-        self.subgroups[min(spec.leaves())].append((spec, values))
-
     def _update(self, agent_idx: int, caches: list[dict], u: np.ndarray) -> None:
         self.agents[agent_idx].update([(c, float(u[k])) for k, c in enumerate(caches)])
 
@@ -371,7 +367,7 @@ class _Engine:
                     rewards.append(a_h - prev_a)
                     prev_a = a_h
                     if keep:
-                        self.buffer.add(spec, i, p)
+                        self.buffer.add(spec, values, i, p)
                         self.subgroups[i].append((spec, values))
                 self._update(i, caches, discounted_returns(np.array(rewards), cfg.gamma))
             self.res.history.append(self.res.best_score)
@@ -386,7 +382,7 @@ class _Engine:
             for i in range(self.n_agents):
                 caches: list[dict] = []
                 rewards: list[float] = []
-                parents = [e.spec for e in self.buffer.entries() if e.agent == i]
+                parents = [(e.spec, e.values) for e in self.buffer.entries() if e.agent == i]
                 for t in range(cfg.steps_per_agent):
                     # Seed half the steps from the replay buffer, the rest
                     # from the live subgroup, to avoid re-deriving the
@@ -421,9 +417,10 @@ class _Engine:
                     if (
                         gain > cfg.accept_margin
                         and not self.state.full
-                        and spec not in self.accepted
+                        and spec not in self.state.specs
                     ):
-                        self._accept(spec, values, s)
+                        self.state.add(spec, values, s)
+                        self.subgroups[min(spec.leaves())].append((spec, values))
                 r = np.array(rewards)
                 u = lambda_returns(r, cfg.gamma, cfg.lam) if cfg.two_stage else (
                     discounted_returns(r, cfg.gamma)
@@ -480,7 +477,7 @@ def run_afe(
     if cfg.two_stage:
         eng.stage1()
     eng.stage2()
-    return eng.state.report(eng.accepted)
+    return eng.state.report()
 
 
 def build_feature_matrix(X: np.ndarray, res: AFEResult) -> np.ndarray:

@@ -37,6 +37,8 @@ from ..ml.mlp import MLP
 __all__ = ["feature_signature", "label_corpus", "FPEModel"]
 
 DEFAULT_D_OPTIONS = (16, 32, 48, 64)
+# Share of the corpus datasets held out to validate each d (Eq. 6).
+VAL_FRACTION = 0.3
 
 
 def _minmax01_at(v: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -293,7 +295,6 @@ class FPEModel:
         fixed_variant: str = "ccws",
         d_options: tuple[int, ...] = DEFAULT_D_OPTIONS,
         thre: float = 0.01,
-        val_fraction: float = 0.3,
         seed: int = 0,
     ) -> "FPEModel":
         """Search the signature dimension d maximizing validation recall
@@ -303,7 +304,7 @@ class FPEModel:
         """
         names = sorted({e["name"] for e in corpus})
         rng = np.random.default_rng(seed)
-        n_val = max(1, int(len(names) * val_fraction))
+        n_val = max(1, int(len(names) * VAL_FRACTION))
         val_names = set(rng.choice(names, size=n_val, replace=False))
         best = None
         for d in d_options:
@@ -369,12 +370,3 @@ class FPEModel:
         if raw <= t:
             return 0.5 * raw / t if t > 0 else 0.0
         return 0.5 + 0.5 * (raw - t) / (1.0 - t) if t < 1 else 1.0
-
-    def is_positive(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        task: str,
-        context: np.ndarray | None = None,
-    ) -> bool:
-        return self.predict_proba(x, y, task, context) >= 0.5

@@ -114,7 +114,7 @@ def is_usable(values: np.ndarray) -> bool:
     """Whether a generated column can be a new feature: all values finite
     and not all equal. ``max > min``, not ``std() > 0``: the float mean of
     a constant column can round so that its std is ~1e-16."""
-    return bool(np.all(np.isfinite(values))) and values.max() > values.min()
+    return bool(np.all(np.isfinite(values)) and values.max() > values.min())
 
 
 def parse_spec(name: str) -> FeatureSpec:

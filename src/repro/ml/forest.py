@@ -23,32 +23,20 @@ from .tree import DecisionTree, apply_bins, bin_features, finite
 
 __all__ = ["RandomForest", "BinnedFolds", "kfold_indices", "cross_val_score"]
 
+# Every forest in the pipeline grows its trees alike: depth 6, leaves of
+# at least 2 rows, sqrt(F) candidate features per node, 32 quantile bins.
+MAX_DEPTH = 6
+MIN_LEAF = 2
+N_BINS = 32
+
 
 class RandomForest:
     """Bagged histogram-CART ensemble over one binning; deterministic in ``seed``."""
 
-    def __init__(
-        self,
-        task: str = "C",
-        n_trees: int = 10,
-        max_depth: int = 6,
-        min_leaf: int = 2,
-        max_features: str | int | None = "sqrt",
-        n_bins: int = 32,
-        seed: int = 0,
-    ):
+    def __init__(self, task: str = "C", n_trees: int = 10, seed: int = 0):
         self.task = task
         self.n_trees = n_trees
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
-        self.max_features = max_features
-        self.n_bins = n_bins
         self.seed = seed
-
-    def _resolve_max_features(self, n_features: int) -> int | None:
-        if self.max_features == "sqrt":
-            return max(1, int(np.sqrt(n_features)))
-        return self.max_features
 
     def fit(
         self,
@@ -68,10 +56,10 @@ class RandomForest:
         rng = np.random.default_rng(self.seed)
         if edges is None:
             X = finite(X)
-            edges = bin_features(X, self.n_bins)
+            edges = bin_features(X, N_BINS)
             X = apply_bins(X, edges)
         self.edges_ = edges
-        mf = self._resolve_max_features(X.shape[1])
+        mf = max(1, int(np.sqrt(X.shape[1])))
         if self.task == "C":
             if classes is None:
                 classes, y = np.unique(y, return_inverse=True)
@@ -81,14 +69,7 @@ class RandomForest:
             boot = rng.integers(0, len(y), len(y))
             if self.task == "C" and np.ptp(y[boot]) == 0:
                 boot = np.arange(len(y))  # degenerate bootstrap: fall back
-            tree = DecisionTree(
-                task=self.task,
-                max_depth=self.max_depth,
-                min_leaf=self.min_leaf,
-                max_features=mf,
-                n_bins=self.n_bins,
-                seed=self.seed * 1000 + t,
-            )
+            tree = DecisionTree(self.task, MAX_DEPTH, MIN_LEAF, mf, seed=self.seed * 1000 + t)
             tree.fit(X[boot], y[boot], edges=edges, classes=classes)
             self.trees_.append(tree)
         imp = np.sum([t.feature_importances_ for t in self.trees_], axis=0)
@@ -164,7 +145,7 @@ class BinnedFolds:
             X = X[:, None]
         out = []
         for tr, te in self.folds:
-            edges = bin_features(X[tr])
+            edges = bin_features(X[tr], N_BINS)
             out.append((edges, apply_bins(X[tr], edges), apply_bins(X[te], edges)))
         return out
 
@@ -199,7 +180,6 @@ def cross_val_score(
     *,
     k: int = 3,
     n_trees: int = 8,
-    max_depth: int = 6,
     seed: int = 0,
 ) -> float:
     """Mean RF cross-validation score (F1 or 1-rae) — the downstream task.
@@ -215,9 +195,7 @@ def cross_val_score(
     for fold, ((_, te), (classes, y_tr), (edges, X_tr, X_te)) in enumerate(
         zip(state.folds, state.targets, state.codes)
     ):
-        rf = RandomForest(
-            task=task, n_trees=n_trees, max_depth=max_depth, seed=seed + fold
-        )
+        rf = RandomForest(task=task, n_trees=n_trees, seed=seed + fold)
         rf.fit(X_tr, y_tr, edges=edges, classes=classes)
         scores.append(metric_score(state.y[te], rf.predict(X_te, binned=True), task))
     return float(np.mean(scores))

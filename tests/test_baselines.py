@@ -9,8 +9,8 @@ from repro.baselines.nfs import nfs_config, run_nfs
 from repro.baselines.rtdl import run_dl_fe, run_fe_dl, run_rtdl_n, split_indices
 from repro.bench.datasets import by_name, load_dataset
 from repro.bench.harness import METHODS
-from repro.core.eafe import AFEConfig, build_feature_matrix, run_afe
-from repro.core.transform import leaf
+from repro.core.eafe import AFEConfig, _Engine, build_feature_matrix, run_afe
+from repro.core.transform import FeatureSpec, leaf
 from repro.synth_data import make_tabular
 
 TINY = AFEConfig(
@@ -92,6 +92,26 @@ class TestGoldenRows:
         assert (r.best_score, r.n_evaluated, r.feature_names) == self.GOLDEN[method]
         assert r.base_score == self.BASE_SCORE
 
+    # A regression set, where E-AFE selects a feature composed from a
+    # generated parent, from the values the engine holds for it.
+    BOSTON = {
+        "NFS": (0.42134087174450585, 11, ["mul(f2,f2)"]),
+        "E-AFE": (0.42744419335507955, 3, ["sub(mul(f2,f2),f2)"]),
+        "FS_R": (
+            0.40725638167454975, 20, ["add(sqrt(f1),div(div(f3,f2),log(f1)))", "minmax(f0)"]
+        ),
+    }
+    BOSTON_BASE_SCORE = 0.40725638167454975
+
+    @pytest.mark.parametrize("method", sorted(BOSTON))
+    def test_housing_boston(self, method, fpe):
+        X, y = load_dataset(by_name("Housing Boston"))
+        m = METHODS[method]
+        kw = {"fpe": fpe} if m.variant else {}
+        r = m.runner(X.values.astype(np.float64), y, "R", cfg=replace(TINY, **m.overrides), **kw)
+        assert (r.best_score, r.n_evaluated, r.feature_names) == self.BOSTON[method]
+        assert r.base_score == self.BOSTON_BASE_SCORE
+
 
 class TestConstantInput:
     """On an all-constant X every candidate is constant too: nothing is
@@ -136,6 +156,38 @@ class TestDegenerateInputs:
         r = m.runner(X, y, task, cfg=replace(TINY, **m.overrides), **kw)
         assert np.isfinite(r.best_score)
         assert r.best_score >= r.base_score
+
+
+class TestOneRecord:
+    """The engine holds each feature once, as its spec and its values, and
+    composes candidates from the parents' values without evaluating a
+    spec: after a run, every (spec, values) in the subgroups, the replay
+    buffer and the state is the spec's column on the run's matrix. Every
+    gain is accepted, so that candidates are composed from accepted
+    features too."""
+
+    @pytest.mark.parametrize("run", ["E-AFE", "E-AFE_D", "NFS", "E-AFE-nan_inf"])
+    def test_values_are_the_specs_columns(self, run, data, fpe, monkeypatch):
+        X, y, task = _degenerate_inputs()["nan_inf"] if run.endswith("nan_inf") else (*data, "C")
+        cfg = {"E-AFE_D": replace(TINY, gate="dropout"), "NFS": nfs_config(TINY)}.get(run, TINY)
+        cfg = replace(cfg, accept_margin=-1.0)
+        eng = _Engine(X, y, task, fpe if cfg.gate == "fpe" else None, cfg)
+
+        def no_spec_evaluation(*_):
+            raise AssertionError("the engine evaluated a spec")
+
+        monkeypatch.setattr(FeatureSpec, "to_numpy", no_spec_evaluation)
+        if cfg.two_stage:
+            eng.stage1()
+        eng.stage2()
+        monkeypatch.undo()
+        records = [f for sub in eng.subgroups for f in sub] + eng.state.features
+        records += [(e.spec, e.values) for e in eng.buffer.entries()]
+        assert eng.state.features
+        if run == "E-AFE":
+            assert len(eng.buffer) > 0
+        for spec, values in records:
+            np.testing.assert_array_equal(values, spec.to_numpy(eng.state.X))
 
 
 class TestRandomPool:

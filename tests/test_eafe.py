@@ -109,14 +109,14 @@ class TestStateInvariants:
         assert eng.unique == unique
         eng.stage2()
         assert eng.res.n_evaluated > 1
-        assert len(eng.accepted) == len(eng.state.columns) == 1
+        assert len(eng.state.features) == 1
         M = eng.state.matrix()
-        np.testing.assert_array_equal(M[:, -1], eng.accepted[0].to_numpy(eng.X))
+        np.testing.assert_array_equal(M[:, -1], eng.state.specs[0].to_numpy(eng.X))
         fresh = cross_val_score(M, eng.y, "C", k=cfg.cv_k, n_trees=cfg.cv_trees, seed=cfg.seed)
         assert eng.state.score == fresh
         # Single-stage subgroups hold the originals and the accepted spec only.
         engineered = [s for sub in eng.subgroups for s, _ in sub if not s.is_leaf]
-        assert engineered == eng.accepted
+        assert engineered == eng.state.specs
 
 
 class TestFeatureMatrix:

@@ -235,12 +235,6 @@ class TestFPEModel:
     def test_threshold_calibrated(self, model):
         assert 0.05 <= model.threshold_ <= 0.95
 
-    def test_is_positive_consistent(self, model, tiny_corpus):
-        e = tiny_corpus[1]
-        X = e["X"].values
-        p = model.predict_proba(X[:, 1], e["y"], e["task"], context=X)
-        assert model.is_positive(X[:, 1], e["y"], e["task"], context=X) == (p >= 0.5)
-
     def test_picklable(self, model):
         import pickle
 

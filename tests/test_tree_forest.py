@@ -131,11 +131,6 @@ class TestRandomForest:
         assert rf.feature_importances_.sum() == pytest.approx(1.0)
         assert np.argmax(rf.feature_importances_) in (0, 1)
 
-    def test_max_features_int(self, clf_data):
-        X, y = clf_data
-        rf = RandomForest(task="C", max_features=2).fit(X, y)
-        assert len(rf.trees_) == rf.n_trees
-
 
 class TestKFold:
     def test_partition_covers_all(self):
@@ -322,12 +317,12 @@ class TestLevelWiseTree:
         assert (a.predict(X) == y).mean() > 0.85
 
 
-def _reference_cv(X, y, task, k=3, n_trees=8, max_depth=6, seed=0):
+def _reference_cv(X, y, task, k=3, n_trees=8, seed=0):
     """Per-fold RF CV on raw matrices: fit on X[tr], predict X[te]."""
     X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
     scores = []
     for fold, (tr, te) in enumerate(kfold_indices(y, k, task, seed)):
-        rf = RandomForest(task=task, n_trees=n_trees, max_depth=max_depth, seed=seed + fold)
+        rf = RandomForest(task=task, n_trees=n_trees, seed=seed + fold)
         rf.fit(X[tr], y[tr])
         scores.append(metric_score(y[te], rf.predict(X[te]), task))
     return float(np.mean(scores))
@@ -363,7 +358,7 @@ class TestBinnedFolds:
     @pytest.mark.parametrize("seed", [0, 3])
     def test_equals_reference_loop(self, case, seed):
         X, y, task = self.CASES[case]
-        kw = dict(k=3, n_trees=4, max_depth=5, seed=seed)
+        kw = dict(k=3, n_trees=4, seed=seed)
         expected = _reference_cv(X, y, task, **kw)
         assert cross_val_score(X, y, task, **kw) == expected
         state = BinnedFolds(X, y, task, k=3, seed=seed)
