@@ -2,7 +2,11 @@
 
 Trains the FPE models, runs the full 36-dataset x 11-method grid on all
 cores, and writes results/table{1,3,4,5,6}.csv plus a combined markdown
-report (results/tables.md) that EXPERIMENTS.md references.
+report (results/tables.md) that EXPERIMENTS.md references. After a
+fresh grid it prints the grid's makespan, the sum of its cells'
+``time_s`` and the parallel efficiency, sum / (makespan x
+defaultParallelism); the cells' Table V replacement-model fits are not
+in ``time_s``, so the efficiency understates how busy the slots were.
 
 Usage: spark-submit jobs/run_all.py [--refresh]
 """
@@ -21,9 +25,16 @@ def main() -> None:
     models = get_fpe_models(spark, refresh=refresh)
     print(f"[run_all] FPE models ready ({time.time()-t0:.0f}s): "
           + ", ".join(f"{v}:d={m.d}" for v, m in models.items()))
+    fresh = refresh or not (RESULTS_DIR / "grid.csv").exists()
     t0 = time.time()
     grid = get_grid(spark, refresh=refresh)
-    print(f"[run_all] grid done ({time.time()-t0:.0f}s): {len(grid)} cells")
+    makespan = time.time() - t0
+    print(f"[run_all] grid done ({makespan:.0f}s): {len(grid)} cells")
+    if fresh:
+        busy = grid["time_s"].sum()
+        slots = spark.sparkContext.defaultParallelism
+        print(f"[run_all] makespan {makespan:.1f}s, sum time_s {busy:.1f}s, "
+              f"parallel efficiency {busy / (makespan * slots):.2f} on {slots} slots")
     parts = []
     t1 = table1()
     t1.to_csv(RESULTS_DIR / "table1.csv", index=False)

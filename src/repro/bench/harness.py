@@ -2,9 +2,9 @@
 
 Tables III/IV/V need up to 36 datasets x 11 methods. Each cell is one
 full AFE training run on a small dataset — latency-bound numpy — so the
-grid is embarrassingly parallel: a Spark DataFrame of cells is
-repartitioned one-cell-per-task and executed with ``mapInPandas`` on all
-cores (DESIGN.md §4). Replacement-model scores for Table V (SVM /
+grid is embarrassingly parallel: ``repro.fanout.fan_out`` runs each cell
+in its own Spark task on all cores, the cells expected to run longest
+first (DESIGN.md §4). Replacement-model scores for Table V (SVM /
 NB-or-GP / MLP over the method's cached feature matrix) are computed
 inside the same task so feature matrices never cross the wire.
 """
@@ -21,6 +21,7 @@ from ..baselines.nfs import run_nfs
 from ..baselines.rtdl import run_dl_fe, run_fe_dl, run_rtdl_n
 from ..core.eafe import AFEConfig, build_feature_matrix, run_afe
 from ..core.fpe import FPEModel, label_corpus
+from ..fanout import fan_out
 from ..hashing.minhash import VARIANTS
 from ..ml.forest import kfold_indices
 from ..ml.gp import GPRegressor
@@ -56,18 +57,20 @@ class Method(NamedTuple):
     dl: Callable | None = None
 
 
+# Longest-running first, by mean cell time in results/grid.csv:
+# run_grid launches cells in this order.
 METHODS: dict[str, Method] = {
     "FS_R": Method(run_autofs_r),
-    "DL_N": Method(None, dl=run_rtdl_n),
     "NFS": Method(run_nfs),
     "FE|DL": Method(run_afe, "ccws", dl=run_fe_dl),
-    "DL|FE": Method(None, dl=run_dl_fe),
-    "E-AFE_R": Method(run_afe, "ccws", {"two_stage": False}),
-    "E-AFE_D": Method(run_afe, overrides={"gate": "dropout"}),
     "E-AFE^L": Method(run_afe, "licws"),
     "E-AFE^P": Method(run_afe, "pcws"),
     "E-AFE^I": Method(run_afe, "icws"),
     "E-AFE": Method(run_afe, "ccws"),
+    "E-AFE_D": Method(run_afe, overrides={"gate": "dropout"}),
+    "E-AFE_R": Method(run_afe, "ccws", {"two_stage": False}),
+    "DL|FE": Method(None, dl=run_dl_fe),
+    "DL_N": Method(None, dl=run_rtdl_n),
 }
 
 
@@ -190,7 +193,6 @@ _GRID_SCHEMA = (
     "time_s double, n_generated long, n_evaluated long, gen_time double, "
     "eval_time double, svm double, nbgp double, mlp double"
 )
-_GRID_COLS = [c.split()[0] for c in _GRID_SCHEMA.split(", ")]
 
 
 def run_grid(
@@ -201,31 +203,18 @@ def run_grid(
     seed: int = 0,
     with_replacement_models: bool = False,
 ) -> pd.DataFrame:
-    """Fan the (method x dataset) grid out over all cores via Spark."""
-    names = datasets or [s.name for s in ROSTER]
-    cells = pd.DataFrame(
-        [(d, m) for d in names for m in methods], columns=["dataset", "method"]
+    """Fan the (method x dataset) grid out over all cores via Spark, one
+    cell per task. Cells launch longest first: in ``METHODS`` order,
+    then larger ``n_samples x n_features`` first within a method."""
+    specs = [by_name(d) for d in datasets] if datasets else list(ROSTER)
+    order = list(METHODS)
+    cells = sorted(
+        ((m, s) for s in specs for m in methods),
+        key=lambda c: (order.index(c[0]), -c[1].n_samples * c[1].n_features),
     )
-    cells["cell_id"] = np.arange(len(cells))
-    sdf = spark.createDataFrame(cells).repartition(len(cells), "cell_id")
 
-    def run(batches):
-        for pdf in batches:
-            rows = []
-            for _, row in pdf.iterrows():
-                res = run_cell(
-                    row["method"],
-                    by_name(row["dataset"]),
-                    fpe_models,
-                    seed=seed,
-                    with_replacement_models=with_replacement_models,
-                )
-                rows.append(res)
-            out = pd.DataFrame(rows)
-            for c in _GRID_COLS:
-                if c not in out.columns:
-                    out[c] = np.nan
-            yield out[_GRID_COLS]
+    def run(cell):
+        return pd.DataFrame([run_cell(*cell, fpe_models, seed, with_replacement_models)])
 
-    res = sdf.mapInPandas(run, schema=_GRID_SCHEMA).toPandas()
+    res = fan_out(spark, cells, run, _GRID_SCHEMA)
     return res.sort_values(["dataset", "method"]).reset_index(drop=True)

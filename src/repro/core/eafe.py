@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..ml.forest import BinnedFolds, RandomForest, cross_val_score
+from ..ml.tree import finite
 from .fpe import FPEModel
 from .operators import ALL_OPS, BINARY_OPS, numpy_op
 from .policy import AgentPolicy, state_embedding
@@ -139,7 +140,8 @@ class FeatureState:
     """One RF run's frame: the matrix it builds, its result, its clock.
 
     Building the state keeps the ``cfg.max_agents`` most important
-    original columns (``X``, RF-importance pre-selection) and scores them.
+    original columns (``X``, RF-importance pre-selection), with NaN and
+    ±inf read as 0 as the forest reads them, and scores them.
     The matrix, the kept originals plus the accepted columns, is held
     binned per fold (``BinnedFolds``), so scoring a candidate bins only
     the candidate's column. ``evaluate`` is one downstream evaluation of a
@@ -155,7 +157,7 @@ class FeatureState:
     def __init__(self, X: np.ndarray, y: np.ndarray, task: str, cfg: AFEConfig):
         self._t_start = time.perf_counter()
         keep = select_important_features(X, y, task, cfg.max_agents, cfg.seed)
-        self.X = np.asarray(X, dtype=np.float64)[:, keep]
+        self.X = finite(X)[:, keep]
         self.y, self.task, self.cfg = np.asarray(y), task, cfg
         self.features: list[Feature] = []  # accepted, in order
         t0 = time.perf_counter()
@@ -484,6 +486,6 @@ def build_feature_matrix(X: np.ndarray, res: AFEResult) -> np.ndarray:
     """Reconstruct the selected feature set (kept originals + engineered
     columns) from a finished run — Table V re-scores this matrix with
     replacement downstream models."""
-    Xk = np.asarray(X, dtype=np.float64)[:, res.kept_columns]
+    Xk = finite(X)[:, res.kept_columns]
     cols = [Xk] + [s.to_numpy(Xk)[:, None] for s in res.selected_specs]
     return np.concatenate(cols, axis=1)

@@ -6,11 +6,12 @@ corpus of datasets whose feature-effectiveness labels come from
 leave-one-feature-out Random-Forest scoring (Eq. 3).
 
 Label job (the expensive part of Algorithm 1 — n datasets x m features
-RF cross-validations) fans out on Spark via ``applyInPandas`` grouped by
-dataset. The hyperparameter search of Eq. 6 (per hash family, the
-signature dimension d maximizing validation recall s.t. Prec > 0 and
-Rec < 1) runs driver-side on the labeled corpus — signatures are
-microseconds to compute next to the RF fits.
+RF cross-validations) fans out on Spark with ``repro.fanout.fan_out``:
+one task per corpus dataset, the largest first. The hyperparameter
+search of Eq. 6 (per hash family, the signature dimension d maximizing
+validation recall s.t. Prec > 0 and Rec < 1) runs driver-side on the
+labeled corpus — signatures are microseconds to compute next to the RF
+fits.
 
 Signature note (substitution, see DESIGN.md §3): Eq. 3's labels depend
 on the *target*, so a classifier whose input is target-blind cannot
@@ -29,6 +30,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
+from ..fanout import fan_out
 from ..hashing.minhash import select_indices
 from ..ml.forest import BinnedFolds, cross_val_score
 from ..ml.metrics import precision_recall
@@ -57,6 +59,22 @@ def _safe_corr(a: np.ndarray, b: np.ndarray) -> float:
         return 0.0
     c = float(np.corrcoef(a, b)[0, 1])
     return c if np.isfinite(c) else 0.0
+
+
+def _corr_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``_safe_corr(a[i], b[i])`` for each row pair of two (m, n) arrays, bit
+    for bit: ``np.corrcoef``'s arithmetic (centre each row, one product per
+    2 x n pair, scale by 1/(n-1), divide by each std in turn, clip), stacked."""
+    X = np.stack([a, b], axis=1)
+    n = X.shape[-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        X -= X.mean(axis=-1)[..., None]
+        c = np.matmul(X, X.transpose(0, 2, 1))
+        c *= np.true_divide(1, n - 1)
+        std = np.sqrt(np.diagonal(c, axis1=1, axis2=2))
+        r = np.clip(c[:, 0, 1] / std[:, 0] / std[:, 1], -1.0, 1.0)
+    constant = (a.max(axis=1) == a.min(axis=1)) | (b.max(axis=1) == b.min(axis=1))
+    return np.where(constant | ~np.isfinite(r), 0.0, r)
 
 
 def feature_signature(
@@ -92,16 +110,14 @@ def feature_signature(
     # learn across datasets.
     order = np.argsort(xs_raw, kind="stable")
     xs, ys = xs_raw[order], ys_raw[order]
-    c = _safe_corr(xs, ys)
     pos = np.linspace(0.0, 1.0, len(xs))
-    cr = _safe_corr(pos, ys)  # rank alignment with the label
-    red_max, red_mean = 0.0, 0.0
-    if context is not None:
-        keep = [j for j in range(context.shape[1]) if j != exclude]
-        if keep:
-            cs = _minmax01_at(context[:, keep], idx)
-            rs = [abs(_safe_corr(xs_raw, col)) for col in cs.T]
-            red_max, red_mean = float(max(rs)), float(np.mean(rs))
+    keep = [] if context is None else [j for j in range(context.shape[1]) if j != exclude]
+    cs = _minmax01_at(context[:, keep], idx).T if keep else []
+    # Every correlation in one stacked pass: (xs, ys), the rank alignment
+    # (pos, ys), then xs_raw against each context column (redundancy).
+    r = _corr_pairs(np.array([xs, pos, *[xs_raw] * len(keep)]), np.array([ys, ys, *cs]))
+    c, cr, rs = r[0], r[1], np.abs(r[2:])
+    red_max, red_mean = (float(rs.max()), float(rs.mean())) if keep else (0.0, 0.0)
     return np.concatenate(
         [xs, ys, xs * ys, [c, abs(c), cr, abs(cr), red_max, red_mean]]
     )
@@ -156,23 +172,16 @@ def _label_one_dataset(
     task = entry["task"]
     state = BinnedFolds(X, y, task, k=cv_cfg.get("k", 3), seed=cv_cfg.get("seed", 0))
     a0 = cross_val_score(state, y, task, **cv_cfg)
+
+    def row(feature: int, kind: str, spec: str, aj: float, gain: float) -> dict:
+        return dict(dataset=entry["name"], task=task, feature=feature, kind=kind,
+                    spec=spec, a0=a0, aj=aj, gain=gain, label=int(gain > thre))
+
     rows = []
     for j in range(X.shape[1]):
         aj = cross_val_score(state.drop(j), y, task, **cv_cfg)
-        gain = a0 - aj  # how much the dataset loses without feature j
-        rows.append(
-            {
-                "dataset": entry["name"],
-                "task": task,
-                "feature": j,
-                "kind": "orig",
-                "spec": f"f{j}",
-                "a0": a0,
-                "aj": aj,
-                "gain": gain,
-                "label": int(gain > thre),
-            }
-        )
+        # gain: how much the dataset loses without feature j
+        rows.append(row(j, "orig", f"f{j}", aj, a0 - aj))
     # zlib.crc32: python's hash() is salted per process, which would make
     # Spark workers and the driver label different generated specs.
     import zlib
@@ -187,20 +196,8 @@ def _label_one_dataset(
         if not is_usable(v):
             continue
         a_add = cross_val_score(state.append(v), y, task, **cv_cfg)
-        gain = a_add - a0  # how much the candidate adds
-        rows.append(
-            {
-                "dataset": entry["name"],
-                "task": task,
-                "feature": X.shape[1] + made,
-                "kind": "gen",
-                "spec": spec.name,
-                "a0": a0,
-                "aj": a_add,
-                "gain": gain,
-                "label": int(gain > thre),
-            }
-        )
+        # gain: how much the candidate adds
+        rows.append(row(X.shape[1] + made, "gen", spec.name, a_add, a_add - a0))
         made += 1
     return pd.DataFrame(rows)
 
@@ -213,20 +210,16 @@ def label_corpus(
 ) -> pd.DataFrame:
     """Eq. 3 labels for every (dataset, feature) pair, fanned out on Spark.
 
-    Each Spark task labels one corpus dataset (1 + m RF CVs); the corpus
-    rides the closure (it is a few MB of synthetic pandas frames).
+    Each Spark task labels one corpus dataset (1 + m RF CVs), the largest
+    datasets first; the corpus rides the closure (it is a few MB of
+    synthetic pandas frames).
     """
     cv_cfg = cv_cfg or {}
-    by_name = {e["name"]: e for e in corpus}
-    ids = spark.createDataFrame(
-        pd.DataFrame({"dataset": list(by_name)})
-    ).repartition(len(by_name), "dataset")
-
-    def run(key, pdf):
-        return _label_one_dataset(by_name[key[0]], thre, cv_cfg)
-
-    out = ids.groupBy("dataset").applyInPandas(run, schema=_LABEL_SCHEMA)
-    return out.toPandas().sort_values(["dataset", "feature"]).reset_index(drop=True)
+    entries = sorted(corpus, key=lambda e: -e["X"].size)
+    out = fan_out(
+        spark, entries, lambda e: _label_one_dataset(e, thre, cv_cfg), _LABEL_SCHEMA
+    )
+    return out.sort_values(["dataset", "feature"]).reset_index(drop=True)
 
 
 # ---------------------------------------------------------------------------
@@ -260,32 +253,6 @@ class FPEModel:
 
     # -- training ------------------------------------------------------------
 
-    @staticmethod
-    def _signatures(
-        corpus: list[dict], labels: pd.DataFrame, d: int, variant: str, seed: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        from .transform import parse_spec
-
-        by_name = {e["name"]: e for e in corpus}
-        sigs, ls, ds = [], [], []
-        for _, r in labels.iterrows():
-            e = by_name[r["dataset"]]
-            X = e["X"].values.astype(np.float64)
-            spec = parse_spec(r["spec"])
-            x = spec.to_numpy(X)
-            # Redundancy block: original features exclude themselves;
-            # generated candidates compare against all originals.
-            exclude = int(r["feature"]) if r["kind"] == "orig" else None
-            sigs.append(
-                feature_signature(
-                    x, e["y"], e["task"], d, variant, seed,
-                    context=X, exclude=exclude,
-                )
-            )
-            ls.append(int(r["label"]))
-            ds.append(r["dataset"])
-        return np.stack(sigs), np.array(ls), np.array(ds)
-
     @classmethod
     def fit(
         cls,
@@ -302,14 +269,29 @@ class FPEModel:
         table variants). Validation split is by *dataset* so recall
         measures cross-dataset generalization, as in the paper.
         """
+        from .transform import parse_spec
+
         names = sorted({e["name"] for e in corpus})
         rng = np.random.default_rng(seed)
         n_val = max(1, int(len(names) * VAL_FRACTION))
         val_names = set(rng.choice(names, size=n_val, replace=False))
+        # Each label row's signature inputs, built once: its column, target,
+        # task, context, and the context column it excludes (an original
+        # feature excludes itself; a generated one is compared to all).
+        by_name = {e["name"]: (e, e["X"].values.astype(np.float64)) for e in corpus}
+        cands = []
+        for r in labels.itertuples():
+            e, X = by_name[r.dataset]
+            exclude = int(r.feature) if r.kind == "orig" else None
+            cands.append((parse_spec(r.spec).to_numpy(X), e["y"], e["task"], X, exclude))
+        L = labels["label"].to_numpy(np.int64)
+        is_val = np.isin(labels["dataset"].to_numpy(), list(val_names))
         best = None
         for d in d_options:
-            H, L, D = cls._signatures(corpus, labels, d, fixed_variant, seed)
-            is_val = np.isin(D, list(val_names))
+            H = np.stack([
+                feature_signature(x, y, task, d, fixed_variant, seed, context=X, exclude=ex)
+                for x, y, task, X, ex in cands
+            ])
             if L[~is_val].sum() == 0 or L[is_val].sum() == 0:
                 continue
             clf = MLP(task="C", hidden=(32, 16), epochs=150, seed=seed)
@@ -319,10 +301,10 @@ class FPEModel:
             # output; Rec < 1 rejects trivial recall.
             key = (prec > 0.0 and rec < 1.0, rec, prec)
             if best is None or key > best[0]:
-                best = (key, d, prec, rec, H, L)
+                best = (key, d, prec, rec, H)
         if best is None:
             raise RuntimeError("FPE grid search found no trainable configuration")
-        _, d, prec, rec, H, L = best
+        _, d, prec, rec, H = best
         model = cls(
             variant=fixed_variant,
             d=d,

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.fpe import (
     FPEModel,
+    _corr_pairs,
     _label_one_dataset,
     _random_spec,
     _safe_corr,
@@ -81,6 +82,20 @@ class TestSignature:
         a, b = np.full(48, 0.1), np.linspace(0.0, 1.0, 48)
         assert a.std() > 0  # rounding: a std() == 0 test lets this column through
         assert _safe_corr(a, b) == 0.0 and _safe_corr(b, a) == 0.0
+
+    def test_corr_pairs_equals_corrcoef_bytes(self):
+        """The stacked pass gives ``_safe_corr`` (``np.corrcoef`` behind the
+        constant and non-finite guards) byte for byte, row by row."""
+        rng = np.random.default_rng(4)
+        for n in (2, 3, 16, 48, 64):
+            a = rng.normal(size=(30, n)) * 10.0 ** rng.integers(-6, 7, size=(30, 1))
+            b = rng.random((30, n))
+            a[0], b[1] = 0.1, 7.0  # constant rows
+            a[2, 0], b[3, n - 1], a[4, 1] = np.nan, np.inf, -np.inf
+            b[5] = a[5] * 3.0 + 1.0  # |corr| = 1 before the clip
+            with np.errstate(invalid="ignore", divide="ignore"):
+                ref = np.array([_safe_corr(a[i], b[i]) for i in range(len(a))])
+            assert _corr_pairs(a, b).tobytes() == ref.tobytes()
 
     def test_values_bounded(self):
         x, y = self._xy()
