@@ -75,7 +75,7 @@ def run_autofs_r(
         s = state.evaluate(values)
         if s - state.score > cfg.accept_margin:
             state.add(spec, values, s)
-            if state.full:
-                break
         res.history.append(res.best_score)
+        if state.full:
+            break
     return state.report()

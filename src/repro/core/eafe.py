@@ -29,7 +29,6 @@ from ..ml.tree import finite
 from .fpe import FPEModel
 from .operators import ALL_OPS, BINARY_OPS, numpy_op
 from .policy import AgentPolicy, state_embedding
-from .replay import ReplayBuffer
 from .rewards import discounted_returns, lambda_returns, pseudo_score
 from .transform import FeatureSpec, apply_op, is_usable, leaf
 
@@ -62,6 +61,12 @@ PROPOSALS = 2
 # 0.65 lands the evaluation count at ~0.4-0.5x NFS (which evaluates
 # every valid step), matching the paper's Table IV ratios.
 GATE_KEEP = 0.65
+# Stage 2's gate quantile: the top of PROPOSALS i.i.d. draws clears the
+# q-quantile with probability 1 - q^PROPOSALS = GATE_KEEP.
+STAGE2_QUANTILE = (1.0 - GATE_KEEP) ** (1.0 / PROPOSALS)
+# Discount (Eq. 9) and λ (Eq. 10) of the policy-gradient returns.
+GAMMA = 0.9
+LAM = 0.8
 
 
 @dataclass
@@ -83,8 +88,6 @@ class AFEConfig:
     epochs_stage2: int = 7
     steps_per_agent: int = 4
     max_order: int = 5
-    gamma: float = 0.9
-    lam: float = 0.8
     max_agents: int = 10
     max_state_features: int = 24
     gate: str = "fpe"
@@ -223,9 +226,14 @@ class _Engine:
             raise ValueError(f"unknown gate {cfg.gate!r}; expected one of {GATES}")
         if cfg.gate == "fpe" and fpe is None:
             raise ValueError("the FPE gate requires a trained FPE model")
+        if cfg.gate == "none" and cfg.two_stage:
+            # With no gate every p is 0.5, so stage 1 has no reward signal.
+            raise ValueError('gate "none" runs single-stage only (two_stage=False)')
         self.cfg = cfg
         self.fpe = fpe
         self.unique = cfg.gate != "none"  # reject re-generated specs
+        # Candidates built per stage-2 step; the gate sees the top one.
+        self.proposals = PROPOSALS if cfg.gate == "fpe" else 1
         self.rng = np.random.default_rng(cfg.seed)
         self.state = FeatureState(X, y, task, cfg)
         self.res, self.X, self.y = self.state.res, self.state.X, self.state.y
@@ -240,7 +248,8 @@ class _Engine:
         self.agents = [
             AgentPolicy(seed=cfg.seed * 977 + i) for i in range(self.n_agents)
         ]
-        self.buffer = ReplayBuffer()
+        # Stage 1's replay buffer: per agent, the (feature, p) it kept.
+        self.replay: list[list[tuple[Feature, float]]] = [[] for _ in range(self.n_agents)]
         self._p_seen: list[float] = []
         self.seen: set[str] = {f"f{i}" for i in range(self.n_agents)}
 
@@ -280,53 +289,41 @@ class _Engine:
         self.res.n_generated += 1
         return (spec, values)
 
-    def _passes_prefilter(self, values: np.ndarray) -> tuple[bool, float]:
-        """The gate on one candidate. Returns (keep, pseudo-probability).
-
-        The FPE gate is self-calibrating per run: keep iff p is at or
-        above the running median of probabilities seen on *this* dataset
-        (0.5 until enough are seen). This holds the drop rate near the
-        paper's ~0.5 on every dataset — the corpus-level calibration
-        cannot guarantee that across distribution shifts — while still
-        keeping the *better half* as ranked by FPE, which is where the
-        advantage over E-AFE_D's blind 0.5 dropout comes from.
-        """
+    def _p(self, values: np.ndarray) -> float:
+        """The gate's probability for one candidate: the FPE's p, recorded
+        for gate calibration; under E-AFE_D's dropout one ``DROPOUT_KEEP``
+        draw, read as 0.75 (keep) or 0.25 (drop); with no gate 0.5."""
         if self.cfg.gate == "fpe":
-            p = self._fpe_p(values)
-            return p >= self._gate(), p
-        if self.cfg.gate == "none":
-            return True, 0.5
-        keep = bool(self.rng.random() < DROPOUT_KEEP)
-        return keep, (0.75 if keep else 0.25)
+            p = self.fpe.predict_proba(values, self.y, self.task, context=self.X)
+            self._p_seen.append(p)
+            return p
+        if self.cfg.gate == "dropout":
+            return 0.75 if self.rng.random() < DROPOUT_KEEP else 0.25
+        return 0.5
 
-    def _best_proposal(self, agent_idx: int, out, op: str, parent: Feature | None):
-        """Best-of-``PROPOSALS`` behind the FPE gate: ``out`` plus the same
-        action ``op`` on fresh parent samples; returns (keep, spec,
-        values, p) for the FPE-top proposal."""
+    def _propose(self, agent_idx: int, out: Feature, op: str, parent: Feature | None):
+        """Best-of-``self.proposals``: ``out`` plus the same action ``op``
+        on fresh parent samples; returns (spec, values, p) for the proposal
+        with the highest gate probability."""
         cands = [out]
         t0 = time.perf_counter()
-        for _ in range(PROPOSALS - 1):
+        for _ in range(self.proposals - 1):
             extra = self._build_candidate(agent_idx, op, parent)
             if extra is not None:
                 cands.append(extra)
         self.res.gen_time += time.perf_counter() - t0
-        ps = [self._fpe_p(v) for _, v in cands]
+        ps = [self._p(v) for _, v in cands]
         j = int(np.argmax(ps))
-        keep = ps[j] >= self._gate((1.0 - GATE_KEEP) ** (1.0 / PROPOSALS))
-        return keep, *cands[j], ps[j]
-
-    def _fpe_p(self, values: np.ndarray) -> float:
-        """FPE probability for a candidate, recorded for gate calibration."""
-        p = self.fpe.predict_proba(values, self.y, self.task, context=self.X)
-        self._p_seen.append(p)
-        return p
+        return *cands[j], ps[j]
 
     def _gate(self, quantile: float = 0.5) -> float:
-        """Gate threshold from the run's own probability stream.
+        """Gate threshold: a candidate is kept iff its p is at or above it.
 
-        The default median holds a ~0.5 drop rate for single proposals;
-        best-of-k callers pass quantile 0.5^(1/k) so the *kept fraction
-        of steps* stays ~0.5 (P(max of k i.i.d. draws >= q) = 1 - q^k)."""
+        The ``quantile`` of the FPE probabilities seen in *this* run (0.5
+        until 12 are seen) holds the drop rate near the paper's ~0.5 on
+        every dataset, which the corpus-level calibration cannot, while
+        keeping what the FPE ranks highest. The dropout and no-gate p are
+        not recorded, so their threshold stays 0.5."""
         if len(self._p_seen) < 12:
             return 0.5
         return float(np.quantile(self._p_seen, quantile))
@@ -363,34 +360,37 @@ class _Engine:
                     if out is None:
                         rewards.append(0.0)
                         continue
-                    spec, values = out
-                    keep, p = self._passes_prefilter(values)
+                    p = self._p(out[1])
+                    keep = p >= self._gate()
                     a_h = self._pseudo(p, self.base_score)
                     rewards.append(a_h - prev_a)
                     prev_a = a_h
                     if keep:
-                        self.buffer.add(spec, values, i, p)
-                        self.subgroups[i].append((spec, values))
-                self._update(i, caches, discounted_returns(np.array(rewards), cfg.gamma))
+                        self.replay[i].append((out, p))
+                        self.subgroups[i].append(out)
+                self._update(i, caches, discounted_returns(np.array(rewards), GAMMA))
             self.res.history.append(self.res.best_score)
 
     def stage2(self):
         """Formal training (Alg. 2 lines 15–21), ``epochs_stage2`` epochs —
         also the whole training loop for the single-stage methods (NFS,
         E-AFE_R). Two-stage runs update with λ-returns, single-stage runs
-        with plain discounted returns."""
+        with plain discounted returns. Each agent's replay buffer is
+        sorted once, highest p first (a stable sort)."""
         cfg = self.cfg
+        for buf in self.replay:
+            buf.sort(key=lambda fp: -fp[1])
         for _ in range(cfg.epochs_stage2):
             for i in range(self.n_agents):
                 caches: list[dict] = []
                 rewards: list[float] = []
-                parents = [(e.spec, e.values) for e in self.buffer.entries() if e.agent == i]
+                parents = self.replay[i]
                 for t in range(cfg.steps_per_agent):
                     # Seed half the steps from the replay buffer, the rest
                     # from the live subgroup, to avoid re-deriving the
                     # same compositions from a small buffer every epoch.
                     parent = (
-                        parents[self.rng.integers(0, len(parents))]
+                        parents[self.rng.integers(0, len(parents))][0]
                         if parents and self.rng.random() < 0.5
                         else None
                     )
@@ -399,13 +399,8 @@ class _Engine:
                     if out is None:
                         rewards.append(0.0)
                         continue
-                    if cfg.gate == "fpe":
-                        keep, spec, values, p = self._best_proposal(
-                            i, out, ALL_OPS[cache["a"]], parent
-                        )
-                    else:
-                        spec, values = out
-                        keep, p = self._passes_prefilter(values)
+                    spec, values, p = self._propose(i, out, ALL_OPS[cache["a"]], parent)
+                    keep = p >= self._gate(STAGE2_QUANTILE)
                     if not keep:
                         # Filtered out: reward from the pseudo-score only.
                         cur = self.state.score
@@ -424,8 +419,8 @@ class _Engine:
                         self.state.add(spec, values, s)
                         self.subgroups[min(spec.leaves())].append((spec, values))
                 r = np.array(rewards)
-                u = lambda_returns(r, cfg.gamma, cfg.lam) if cfg.two_stage else (
-                    discounted_returns(r, cfg.gamma)
+                u = lambda_returns(r, GAMMA, LAM) if cfg.two_stage else (
+                    discounted_returns(r, GAMMA)
                 )
                 self._update(i, caches, u)
             self.res.history.append(self.res.best_score)

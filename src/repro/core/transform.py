@@ -9,7 +9,7 @@ maximum order (default 5 — §IV-A4). One spec has three renderings:
 - ``to_duckdb(cols)`` — a SQL fragment (the correctness oracle).
 
 Specs are immutable, hashable and carry a canonical ``name`` used for
-de-duplication (the replay buffer and Table IV counters key on it).
+de-duplication (the engine's set of seen specs keys on it).
 """
 from __future__ import annotations
 
@@ -152,8 +152,9 @@ def materialize(
     """Append engineered columns to ``df`` through the DataFrame API.
 
     This is the Catalyst path: one ``withColumns`` call, so the whole
-    feature set is a single projected plan. Used by the jobs to emit the
-    final selected feature sets and by the oracle tests.
+    feature set is a single projected plan. The oracle and integration
+    tests materialize a run's selected specs with it and check them
+    against the numpy path.
     """
     exprs = {f"{prefix}_{i}": s.to_spark(df, cols) for i, s in enumerate(specs)}
     return df.withColumns(exprs)

@@ -33,7 +33,7 @@ class TestNFSConfig:
     def test_budget_carried_over(self):
         base = AFEConfig(
             epochs_stage1=2, epochs_stage2=3, steps_per_agent=5, max_order=4,
-            gamma=0.8, lam=0.7, max_agents=6, max_state_features=12,
+            max_agents=6, max_state_features=12,
             gate="dropout", two_stage=False, cv_k=4, cv_trees=5,
             final_cv_k=3, final_cv_trees=2, accept_margin=0.01, seed=7,
         )
@@ -97,6 +97,8 @@ class TestGoldenRows:
     BOSTON = {
         "NFS": (0.42134087174450585, 11, ["mul(f2,f2)"]),
         "E-AFE": (0.42744419335507955, 3, ["sub(mul(f2,f2),f2)"]),
+        "E-AFE_D": (0.43470589555809996, 5, ["sub(f2,mul(f2,f2))"]),
+        "E-AFE_R": (0.42134087174450585, 3, ["mul(f2,f2)"]),
         "FS_R": (
             0.40725638167454975, 20, ["add(sqrt(f1),div(div(f3,f2),log(f1)))", "minmax(f0)"]
         ),
@@ -182,10 +184,10 @@ class TestOneRecord:
         eng.stage2()
         monkeypatch.undo()
         records = [f for sub in eng.subgroups for f in sub] + eng.state.features
-        records += [(e.spec, e.values) for e in eng.buffer.entries()]
+        records += [f for buf in eng.replay for f, _ in buf]
         assert eng.state.features
         if run == "E-AFE":
-            assert len(eng.buffer) > 0
+            assert any(eng.replay)
         if run.endswith("nan_inf"):
             # f0-f2 each hold one non-finite cell, read as 0, so the
             # agents compose candidates from them too.
@@ -220,6 +222,12 @@ class TestAutoFSR:
         # FS_R evaluates every (valid) pooled feature once
         assert r.n_evaluated <= r.n_generated
         assert r.n_evaluated >= r.n_generated * 0.5
+
+    def test_history_has_every_evaluation(self, data):
+        """One history entry per evaluation, also the one that fills the state."""
+        X, y = data
+        r = run_autofs_r(X, y, "C", replace(TINY, max_state_features=1, accept_margin=-1.0))
+        assert len(r.history) == r.n_evaluated
 
     def test_selected_specs_buildable(self, data):
         X, y = data

@@ -63,6 +63,12 @@ class TestEAFERun:
             with pytest.raises(ValueError):
                 run_afe(X, y, "C", None, cfg)
 
+    def test_no_gate_two_stage_raises(self, data):
+        """With no gate every p is 0.5: stage 1 would have no reward signal."""
+        X, y = data
+        with pytest.raises(ValueError, match="single-stage"):
+            run_afe(X, y, "C", None, replace(TINY, gate="none"))
+
     def test_unknown_gate_raises(self, data, fpe):
         X, y = data
         for gate in ("FPE", "all", ""):
@@ -117,6 +123,37 @@ class TestStateInvariants:
         # Single-stage subgroups hold the originals and the accepted spec only.
         engineered = [s for sub in eng.subgroups for s, _ in sub if not s.is_leaf]
         assert engineered == eng.state.specs
+
+
+class TestReplay:
+    def test_stage2_parents_are_stage1_keepers_by_p(self, data, fpe, monkeypatch):
+        """Each agent's replay holds the features its stage 1 kept, sorted
+        once at the start of stage 2 by descending p (ties in stage-1
+        order), and stage 2 seeds that agent's steps only from them."""
+        X, y = data
+        eng = _Engine(X, y, "C", fpe, replace(TINY, epochs_stage1=2, epochs_stage2=3))
+        eng.stage1()
+        kept = [list(buf) for buf in eng.replay]
+        assert sum(map(len, kept)) > 1
+        for i, buf in enumerate(kept):
+            # A keeper joins its own agent's subgroup.
+            assert all(any(f is g for g in eng.subgroups[i]) for f, _ in buf)
+        seeded = []
+        generate = eng._generate
+
+        def spy(i, parent=None):
+            if parent is not None:
+                seeded.append((i, parent))
+            return generate(i, parent=parent)
+
+        monkeypatch.setattr(eng, "_generate", spy)
+        eng.stage2()
+        for i, buf in enumerate(kept):
+            order = sorted(range(len(buf)), key=lambda k: -buf[k][1])
+            assert [id(f) for f, _ in eng.replay[i]] == [id(buf[k][0]) for k in order]
+        assert seeded
+        for i, parent in seeded:
+            assert any(parent is f for f, _ in kept[i])
 
 
 class TestFeatureMatrix:

@@ -1,12 +1,10 @@
-"""Tests for reward shaping (Eq. 7-10), the replay buffer and the policy."""
+"""Tests for reward shaping (Eq. 7-10) and the policy."""
 import numpy as np
 import pytest
 
 from repro.core.operators import ALL_OPS
 from repro.core.policy import STATE_DIM, AgentPolicy, state_embedding
-from repro.core.replay import ReplayBuffer
 from repro.core.rewards import discounted_returns, lambda_returns, pseudo_score
-from repro.core.transform import apply_op, leaf
 
 
 class TestPseudoScore:
@@ -59,49 +57,6 @@ class TestReturns:
 
     def test_single_reward(self):
         np.testing.assert_allclose(lambda_returns(np.array([2.0])), [2.0])
-
-
-class TestReplayBuffer:
-    X = np.arange(12.0).reshape(4, 3)
-
-    def _feature(self, i):
-        s = apply_op("log", leaf(i))
-        return s, s.to_numpy(self.X)
-
-    def test_add_and_contains(self):
-        b = ReplayBuffer()
-        s, v = self._feature(0)
-        assert b.add(s, v, agent=0, p=0.9)
-        assert s in b and len(b) == 1
-        assert b.entries()[0].values is v
-
-    def test_dedup_keeps_best_p(self):
-        b = ReplayBuffer()
-        f = self._feature(1)
-        b.add(*f, 0, 0.6)
-        assert not b.add(*f, 0, 0.8)  # duplicate: no new slot
-        assert b.entries()[0].p == 0.8
-
-    def test_capacity_eviction(self):
-        b = ReplayBuffer(capacity=2)
-        b.add(*self._feature(0), 0, 0.2)
-        b.add(*self._feature(1), 0, 0.9)
-        b.add(*self._feature(2), 0, 0.5)  # evicts the 0.2 entry
-        names = {e.spec.name for e in b.entries()}
-        assert names == {"log(f1)", "log(f2)"}
-
-    def test_no_eviction_for_worse(self):
-        b = ReplayBuffer(capacity=1)
-        b.add(*self._feature(0), 0, 0.9)
-        assert not b.add(*self._feature(1), 0, 0.1)
-        assert len(b) == 1
-
-    def test_entries_sorted_desc(self):
-        b = ReplayBuffer()
-        b.add(*self._feature(0), 0, 0.3)
-        b.add(*self._feature(1), 0, 0.7)
-        ps = [e.p for e in b.entries()]
-        assert ps == sorted(ps, reverse=True)
 
 
 class TestStateEmbedding:
