@@ -90,14 +90,10 @@ def train_fpe_models(
     # 10 trees for labeling: labels are the FPE's ground truth, so they
     # get a less noisy forest than the online evaluations use.
     labels = label_corpus(spark, corpus, thre=thre, cv_cfg={"k": 3, "n_trees": 10})
-    models: dict[str, FPEModel] = {}
-    for variant in VARIANTS:
-        if variant == "minhash":
-            continue  # the paper's variants are the four weighted families
-        models[variant] = FPEModel.fit(
-            corpus, labels, fixed_variant=variant, thre=thre, seed=seed
-        )
-    return models
+    return {
+        variant: FPEModel.fit(corpus, labels, fixed_variant=variant, thre=thre, seed=seed)
+        for variant in VARIANTS
+    }
 
 
 def _eafe_config(seed: int, **overrides) -> AFEConfig:

@@ -6,8 +6,11 @@ One configurable engine drives every RL-based method in the tables:
   two-stage training (stage 1: FPE pseudo-rewards fill a replay buffer;
   stage 2: only FPE-positive candidates reach the downstream task).
 - **E-AFE_D**: FPE replaced by a Bernoulli random dropout (ablation).
-- **E-AFE_R**: FPE kept, but the two-stage λ-return machinery replaced
-  by single-stage plain policy gradient (ablation).
+- **E-AFE_R**: FPE kept, but the two-stage training replaced by
+  single-stage plain policy gradient (ablation). E-AFE runs stage 1 and
+  discounts stage 2's rewards at γλ = 0.72 (Eq. 10's λ-return, which
+  without a value function is a γλ-discounted return); E-AFE_R has no
+  stage 1 and discounts at γ = 0.9 (Eq. 9).
 - **NFS**: no FPE, single-stage policy gradient, *every* generated
   feature evaluated on the downstream task (the baseline whose cost
   Table I dissects).
@@ -29,7 +32,7 @@ from ..ml.tree import finite
 from .fpe import FPEModel
 from .operators import ALL_OPS, BINARY_OPS, numpy_op
 from .policy import AgentPolicy, state_embedding
-from .rewards import discounted_returns, lambda_returns, pseudo_score
+from .rewards import discounted_returns, pseudo_score
 from .transform import FeatureSpec, apply_op, is_usable, leaf
 
 __all__ = [
@@ -258,13 +261,17 @@ class _Engine:
     def _generate(self, agent_idx: int, parent: Feature | None = None):
         """One action: sample parents, pick an operator via the policy,
         build the candidate spec + values. Returns None if the candidate
-        is a duplicate or would exceed the maximum order."""
+        is a duplicate or would exceed the maximum order. A usable candidate
+        counts in ``res.n_generated``: one per action, so ``_propose``'s
+        extra proposals do not count."""
         t0 = time.perf_counter()
         sub = self.subgroups[agent_idx]
         first = parent or sub[self.rng.integers(0, len(sub))]
         x_emb = state_embedding(first[1], len(sub), len(self.res.history))
         a, cache = self.agents[agent_idx].act(x_emb)
         out = self._build_candidate(agent_idx, ALL_OPS[a], first)
+        if out is not None:
+            self.res.n_generated += 1
         self.res.gen_time += time.perf_counter() - t0
         return out, cache
 
@@ -286,7 +293,6 @@ class _Engine:
         # are not countable "new features" — nothing could evaluate them.
         if not is_usable(values):
             return None
-        self.res.n_generated += 1
         return (spec, values)
 
     def _p(self, values: np.ndarray) -> float:
@@ -374,9 +380,10 @@ class _Engine:
     def stage2(self):
         """Formal training (Alg. 2 lines 15–21), ``epochs_stage2`` epochs —
         also the whole training loop for the single-stage methods (NFS,
-        E-AFE_R). Two-stage runs update with λ-returns, single-stage runs
-        with plain discounted returns. Each agent's replay buffer is
-        sorted once, highest p first (a stable sort)."""
+        E-AFE_R). Two-stage runs update with Eq. 10's λ-returns (returns
+        discounted at γλ), single-stage runs with Eq. 9's (at γ). Each
+        agent's replay buffer is sorted once, highest p first (a stable
+        sort)."""
         cfg = self.cfg
         for buf in self.replay:
             buf.sort(key=lambda fp: -fp[1])
@@ -418,9 +425,8 @@ class _Engine:
                     ):
                         self.state.add(spec, values, s)
                         self.subgroups[min(spec.leaves())].append((spec, values))
-                r = np.array(rewards)
-                u = lambda_returns(r, GAMMA, LAM) if cfg.two_stage else (
-                    discounted_returns(r, GAMMA)
+                u = discounted_returns(
+                    np.array(rewards), GAMMA * LAM if cfg.two_stage else GAMMA
                 )
                 self._update(i, caches, u)
             self.res.history.append(self.res.best_score)

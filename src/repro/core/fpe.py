@@ -286,14 +286,16 @@ class FPEModel:
             cands.append((parse_spec(r.spec).to_numpy(X), e["y"], e["task"], X, exclude))
         L = labels["label"].to_numpy(np.int64)
         is_val = np.isin(labels["dataset"].to_numpy(), list(val_names))
+        # With no positives on one side of the split, no d can be trained
+        # or validated.
+        if L[~is_val].sum() == 0 or L[is_val].sum() == 0:
+            raise RuntimeError("FPE grid search found no trainable configuration")
         best = None
         for d in d_options:
             H = np.stack([
                 feature_signature(x, y, task, d, fixed_variant, seed, context=X, exclude=ex)
                 for x, y, task, X, ex in cands
             ])
-            if L[~is_val].sum() == 0 or L[is_val].sum() == 0:
-                continue
             clf = MLP(task="C", hidden=(32, 16), epochs=150, seed=seed)
             clf.fit(H[~is_val], L[~is_val])
             prec, rec = precision_recall(L[is_val], clf.predict(H[is_val]))
@@ -302,8 +304,6 @@ class FPEModel:
             key = (prec > 0.0 and rec < 1.0, rec, prec)
             if best is None or key > best[0]:
                 best = (key, d, prec, rec, H)
-        if best is None:
-            raise RuntimeError("FPE grid search found no trainable configuration")
         _, d, prec, rec, H = best
         model = cls(
             variant=fixed_variant,

@@ -99,9 +99,9 @@ class AgentPolicy:
         self.h = h
         return p, {"x": x, "h_prev": h_prev, "h": h, "p": p}
 
-    def act(self, x: np.ndarray, greedy: bool = False) -> tuple[int, dict]:
+    def act(self, x: np.ndarray) -> tuple[int, dict]:
         p, cache = self.probs(x)
-        a = int(np.argmax(p)) if greedy else int(self._rng.choice(_N_ACTIONS, p=p))
+        a = int(self._rng.choice(_N_ACTIONS, p=p))
         cache["a"] = a
         return a, cache
 

@@ -12,14 +12,21 @@ linear-in-p form and (dA_max, dA_min, thre) parameterization.
 Returns: Eq. 9's middle expression is the standard forward discounted
 return while its right-hand side sums *past* rewards; we implement the
 standard forward form U_t = sum_{k>=t} gamma^{k-t} r_k (what REINFORCE
-needs). Eq. 10's λ-return is the TD(λ) combination of n-step returns
-with no bootstrap value function (terminal truncation).
+needs). Eq. 10's λ-return is the TD(λ) mix of the n-step returns
+G_t^(n) = sum_{i<n} gamma^i r_{t+i}, truncated at the episode's end T:
+
+    U_t^λ = (1-λ) sum_{n=1}^{T-t-1} λ^{n-1} G_t^(n) + λ^{T-t-1} G_t^(T-t).
+
+With no bootstrap value function this is a plain discounted return:
+r_{t+i} appears in every G_t^(n) with n > i, and those n's weights sum
+to λ^i, so U_t^λ = sum_i (γλ)^i r_{t+i} = ``discounted_returns(r, γλ)``
+(λ = 1 gives Eq. 9's return, λ = 0 the reward itself).
 """
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["pseudo_score", "discounted_returns", "lambda_returns"]
+__all__ = ["pseudo_score", "discounted_returns"]
 
 
 def pseudo_score(
@@ -46,31 +53,5 @@ def discounted_returns(rewards: np.ndarray, gamma: float = 0.9) -> np.ndarray:
     acc = 0.0
     for t in range(len(r) - 1, -1, -1):
         acc = r[t] + gamma * acc
-        out[t] = acc
-    return out
-
-
-def lambda_returns(
-    rewards: np.ndarray, gamma: float = 0.9, lam: float = 0.8
-) -> np.ndarray:
-    """TD(λ) returns without bootstrap (Eq. 10).
-
-    U_t^λ = (1-λ) Σ_{n=1}^{T-t-1} λ^{n-1} G_t^{(n)} + λ^{T-t-1} G_t^{(T-t)}
-    where G_t^{(n)} = Σ_{i=0}^{n-1} γ^i r_{t+i} (no value function).
-    λ = 1 recovers the Monte-Carlo return of Eq. 9.
-    """
-    r = np.asarray(rewards, dtype=np.float64)
-    T = len(r)
-    out = np.zeros(T)
-    for t in range(T):
-        horizon = T - t
-        g_n = 0.0  # running n-step return G_t^{(n)}
-        acc = 0.0
-        for n in range(1, horizon + 1):
-            g_n += (gamma ** (n - 1)) * r[t + n - 1]
-            if n < horizon:
-                acc += (1 - lam) * (lam ** (n - 1)) * g_n
-            else:
-                acc += (lam ** (n - 1)) * g_n
         out[t] = acc
     return out

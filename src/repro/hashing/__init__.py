@@ -1,4 +1,1 @@
 """Hashing-based sample compressor (the FPE model's first module)."""
-from .minhash import VARIANTS, compress, compress_matrix, select_indices, weighted_jaccard
-
-__all__ = ["VARIANTS", "compress", "compress_matrix", "select_indices", "weighted_jaccard"]

@@ -13,8 +13,6 @@ the property the tests check.
 Variants (paper Table III: E-AFE^I = ICWS, E-AFE^L = LICWS/0-bit CWS,
 E-AFE^P = PCWS, default = CCWS):
 
-- ``minhash``: unweighted — a_{k,i} ~ U(0,1) independent of the values;
-  every feature of a dataset selects the same d rows.
 - ``icws`` (Ioffe 2010): r, c ~ Gamma(2,1), b ~ U(0,1);
   t = floor(ln w / r + b), y = exp(r (t - b)), a = c / (y e^r).
 - ``licws`` (0-bit CWS, Li 2015): ICWS with the c-dependent component
@@ -36,9 +34,9 @@ import functools
 
 import numpy as np
 
-VARIANTS = ("minhash", "icws", "licws", "pcws", "ccws")
+VARIANTS = ("icws", "licws", "pcws", "ccws")
 
-__all__ = ["VARIANTS", "compress", "compress_matrix", "weighted_jaccard"]
+__all__ = ["VARIANTS", "select_indices", "weighted_jaccard"]
 
 
 def _normalize_weights(x: np.ndarray) -> np.ndarray:
@@ -60,7 +58,7 @@ def _normalize_weights(x: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=4)
 def _draws(d: int, m: int, seed: int) -> tuple[np.ndarray, ...]:
     """Deterministic per-(hash k, index i) draws and the weight-independent
-    terms built from them, shape (d, m) each: uniforms ``u1, u3, u4`` and
+    terms built from them, shape (d, m) each: uniforms ``u3, u4`` and
     ``r = -ln(u1 u2)``, ``c = -ln(u4 roll(u4))`` (both Gamma(2,1)).
 
     The draws depend only on (seed, k, i) — never on the weights — which
@@ -76,7 +74,7 @@ def _draws(d: int, m: int, seed: int) -> tuple[np.ndarray, ...]:
     u4 = g.random((d, m))
     r = -np.log(u1 * u2)
     c = -np.log(u4 * np.roll(u4, 1, axis=1))
-    out = (u1, u3, u4, r, c)
+    out = (u3, u4, r, c)
     for a in out:
         a.flags.writeable = False
     return out
@@ -84,9 +82,7 @@ def _draws(d: int, m: int, seed: int) -> tuple[np.ndarray, ...]:
 
 def _scores(w: np.ndarray, d: int, variant: str, seed: int) -> np.ndarray:
     """Matrix a[k, i]; per hash k the argmin_i is the selected sample."""
-    u1, b, u4, r, c = _draws(d, len(w), seed)
-    if variant == "minhash":
-        return u1
+    b, u4, r, c = _draws(d, len(w), seed)
     lw = np.log(w)[None, :]
     if variant in ("icws", "licws", "pcws"):
         t = np.floor(lw / r + b)
@@ -116,22 +112,6 @@ def select_indices(
     """The d sample indices the hash family selects for column ``x``."""
     w = _normalize_weights(x)
     return np.argmin(_scores(w, d, variant, seed), axis=1)
-
-
-def compress(
-    x: np.ndarray, d: int = 48, variant: str = "ccws", seed: int = 0
-) -> np.ndarray:
-    """Compress one feature column (M values) to d selected values."""
-    idx = select_indices(x, d, variant, seed)
-    return np.asarray(x, dtype=np.float64)[idx]
-
-
-def compress_matrix(
-    X: np.ndarray, d: int = 48, variant: str = "ccws", seed: int = 0
-) -> np.ndarray:
-    """Compress an (M, N) dataset column-wise to (d, N) (Eq. 2's MinHash(D, d))."""
-    X = np.asarray(X, dtype=np.float64)
-    return np.stack([compress(X[:, j], d, variant, seed) for j in range(X.shape[1])], axis=1)
 
 
 def weighted_jaccard(x: np.ndarray, y: np.ndarray) -> float:

@@ -9,22 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "precision_recall",
-    "f1_score",
-    "one_minus_rae",
-    "accuracy",
-    "score",
-]
-
-
-def accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Fraction of exact label matches."""
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    if y_true.size == 0:
-        return 0.0
-    return float(np.mean(y_true == y_pred))
+__all__ = ["precision_recall", "f1_score", "one_minus_rae", "score"]
 
 
 def precision_recall(

@@ -156,6 +156,52 @@ class TestReplay:
             assert any(parent is f for f, _ in kept[i])
 
 
+class TestGeneratedCount:
+    @pytest.mark.parametrize("gate", ["fpe", "dropout", "none"])
+    def test_one_per_usable_action(self, data, fpe, gate, monkeypatch):
+        """``n_generated`` counts the usable candidates of the policy's own
+        actions, one per step; the FPE gate's extra proposals do not count."""
+        X, y = data
+        cfg = replace(TINY, gate=gate, two_stage=gate != "none")
+        eng = _Engine(X, y, "C", fpe if gate == "fpe" else None, cfg)
+        usable = []
+        generate = eng._generate
+
+        def spy(i, parent=None):
+            out, cache = generate(i, parent=parent)
+            usable.append(out is not None)
+            return out, cache
+
+        monkeypatch.setattr(eng, "_generate", spy)
+        if cfg.two_stage:
+            eng.stage1()
+        eng.stage2()
+        assert sum(usable) > 0
+        assert eng.res.n_generated == sum(usable)
+
+
+class TestDiscount:
+    @pytest.mark.parametrize("two_stage", [True, False])
+    def test_stage2_discounts_at_gamma_lambda(self, data, fpe, two_stage, monkeypatch):
+        """Stage 1 and single-stage runs discount at γ; a two-stage run's
+        stage 2 discounts at γλ (Eq. 10's λ-return with no value function)."""
+        import repro.core.eafe as eafe
+
+        X, y = data
+        gammas = []
+        real = eafe.discounted_returns
+        monkeypatch.setattr(
+            eafe, "discounted_returns", lambda r, g: gammas.append(g) or real(r, g)
+        )
+        eng = _Engine(X, y, "C", fpe, replace(TINY, two_stage=two_stage))
+        if two_stage:
+            eng.stage1()
+        n1 = len(gammas)
+        eng.stage2()
+        assert gammas[:n1] == [eafe.GAMMA] * n1
+        assert set(gammas[n1:]) == {eafe.GAMMA * eafe.LAM if two_stage else eafe.GAMMA}
+
+
 class TestFeatureMatrix:
     def test_build_feature_matrix_shape(self, data, fpe):
         X, y = data

@@ -154,7 +154,7 @@ class TestSignatureExact:
         y = (rng.normal(size=M) + np.nan_to_num(x) > 0).astype(int)
         return x, y, context
 
-    @pytest.mark.parametrize("variant", ["ccws", "icws", "minhash"])
+    @pytest.mark.parametrize("variant", ["ccws", "icws", "pcws"])
     @pytest.mark.parametrize("exclude", [None, 0, 1])
     def test_equals_full_column_scaling(self, data, variant, exclude):
         x, y, context = data
@@ -249,6 +249,20 @@ class TestFPEModel:
 
     def test_threshold_calibrated(self, model):
         assert 0.05 <= model.threshold_ <= 0.95
+
+    def test_no_positives_raises_before_signatures(self, tiny_corpus, labels, monkeypatch):
+        """A split side with no positive label fails the search before any
+        signature is built, whatever ``d_options`` holds."""
+        import repro.core.fpe as fpe_mod
+
+        calls = []
+        monkeypatch.setattr(
+            fpe_mod, "feature_signature", lambda *a, **k: calls.append(1) or np.zeros(54)
+        )
+        negatives = labels.assign(label=0)
+        with pytest.raises(RuntimeError, match="no trainable configuration"):
+            FPEModel.fit(tiny_corpus, negatives, d_options=(16, 32), seed=0)
+        assert calls == []
 
     def test_picklable(self, model):
         import pickle

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.ml.metrics import accuracy, f1_score, one_minus_rae, precision_recall, score
+from repro.ml.metrics import f1_score, one_minus_rae, precision_recall, score
 
 
 class TestPrecisionRecall:
@@ -100,9 +100,3 @@ class TestDispatchAndAccuracy:
     def test_score_bad_task(self):
         with pytest.raises(ValueError):
             score(np.array([0]), np.array([0]), "X")
-
-    def test_accuracy(self):
-        assert accuracy(np.array([1, 0, 1]), np.array([1, 1, 1])) == pytest.approx(2 / 3)
-
-    def test_accuracy_empty(self):
-        assert accuracy(np.array([]), np.array([])) == 0.0

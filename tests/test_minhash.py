@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hashing import VARIANTS, compress, compress_matrix, select_indices, weighted_jaccard
+from repro.hashing.minhash import VARIANTS, select_indices, weighted_jaccard
 
 
 @pytest.fixture(scope="module")
@@ -24,12 +24,12 @@ def columns():
 class TestPerVariant:
     def test_output_size(self, variant, columns):
         x, _, _ = columns
-        assert compress(x, d=32, variant=variant).shape == (32,)
+        assert x[select_indices(x, d=32, variant=variant)].shape == (32,)
 
     def test_deterministic(self, variant, columns):
         x, _, _ = columns
-        a = compress(x, 48, variant, seed=1)
-        b = compress(x, 48, variant, seed=1)
+        a = x[select_indices(x, 48, variant, seed=1)]
+        b = x[select_indices(x, 48, variant, seed=1)]
         np.testing.assert_array_equal(a, b)
 
     def test_seed_changes_selection(self, variant, columns):
@@ -45,31 +45,31 @@ class TestPerVariant:
 
     def test_values_come_from_input(self, variant, columns):
         x, _, _ = columns
-        c = compress(x, 16, variant)
+        c = x[select_indices(x, 16, variant)]
         assert np.isin(c, x).all()
 
     def test_similarity_preservation(self, variant, columns):
         """Eq. 2: near columns stay near, far columns stay far."""
         x, near, far = columns
-        cx = compress(x, 64, variant)
-        cn = compress(near, 64, variant)
-        cf = compress(far, 64, variant)
+        cx = x[select_indices(x, 64, variant)]
+        cn = near[select_indices(near, 64, variant)]
+        cf = far[select_indices(far, 64, variant)]
         assert weighted_jaccard(cx, cn) > weighted_jaccard(cx, cf)
 
     def test_short_input(self, variant):
         x = np.array([1.0, 5.0, 2.0])
-        c = compress(x, 16, variant)
+        c = x[select_indices(x, 16, variant)]
         assert c.shape == (16,)
         assert np.isin(c, x).all()
 
     def test_handles_nonfinite(self, variant):
         x = np.array([1.0, np.nan, np.inf, -3.0] * 10)
-        c = compress(x, 8, variant)
+        c = x[select_indices(x, 8, variant)]
         assert c.shape == (8,)
 
     def test_constant_column(self, variant):
         x = np.full(100, 7.0)
-        c = compress(x, 8, variant)
+        c = x[select_indices(x, 8, variant)]
         np.testing.assert_array_equal(c, 7.0)
 
 
@@ -77,28 +77,24 @@ class TestWeightedVariantsSpecifics:
     def test_weighted_selection_is_scale_invariant(self):
         """Mean-normalization makes weighted selection scale-free."""
         x = np.abs(np.random.default_rng(1).normal(size=500)) + 0.1
-        for variant in ("icws", "licws", "pcws", "ccws"):
+        for variant in VARIANTS:
             a = select_indices(x, 32, variant)
             b = select_indices(x * 1000.0, 32, variant)
             np.testing.assert_array_equal(a, b)
-
-    def test_plain_minhash_ignores_weights(self):
-        rng = np.random.default_rng(2)
-        a = select_indices(rng.normal(size=300), 32, "minhash")
-        b = select_indices(rng.normal(size=300) * 5 + 3, 32, "minhash")
-        np.testing.assert_array_equal(a, b)
 
     def test_weighted_variants_prefer_heavy_rows(self):
         """A row with overwhelming weight should be selected often."""
         x = np.ones(200)
         x[17] = 1e6
-        for variant in ("icws", "licws", "pcws", "ccws"):
+        for variant in VARIANTS:
             idx = select_indices(x, 64, variant)
             assert (idx == 17).mean() > 0.2, variant
 
     def test_unknown_variant_raises(self):
-        with pytest.raises(ValueError):
-            compress(np.ones(10), 8, "nope")
+        """Only the paper's four weighted families; plain MinHash is not one."""
+        for variant in ("nope", "minhash"):
+            with pytest.raises(ValueError):
+                select_indices(np.ones(10), 8, variant)
 
     def test_variants_differ(self):
         x = np.random.default_rng(3).normal(size=400)
@@ -107,17 +103,6 @@ class TestWeightedVariantsSpecifics:
 
 
 class TestMatrixAndJaccard:
-    def test_compress_matrix_shape(self):
-        X = np.random.default_rng(0).normal(size=(300, 5))
-        out = compress_matrix(X, d=24)
-        assert out.shape == (24, 5)
-
-    def test_compress_matrix_matches_columns(self):
-        X = np.random.default_rng(0).normal(size=(100, 3))
-        out = compress_matrix(X, d=16, variant="icws", seed=4)
-        for j in range(3):
-            np.testing.assert_array_equal(out[:, j], compress(X[:, j], 16, "icws", 4))
-
     def test_jaccard_identical(self):
         x = np.random.default_rng(0).normal(size=100)
         assert weighted_jaccard(x, x) == pytest.approx(1.0)
@@ -144,25 +129,22 @@ def _reference_select(x, d, variant, seed):
     m = len(w)
     g = np.random.default_rng(seed)
     u1, u2, u3, u4 = (g.random((d, m)) for _ in range(4))
-    if variant == "minhash":
-        a = u1
-    else:
-        r = -np.log(u1 * u2)
-        b = u3
-        lw = np.log(w)[None, :]
-        if variant in ("icws", "licws", "pcws"):
-            t = np.floor(lw / r + b)
-            ln_y = r * (t - b)
-            if variant == "icws":
-                a = np.log(-np.log(u4 * np.roll(u4, 1, axis=1))) - ln_y - r
-            elif variant == "licws":
-                a = -ln_y - r
-            else:
-                a = np.log(-np.log(u4)) - ln_y - r
+    r = -np.log(u1 * u2)
+    b = u3
+    lw = np.log(w)[None, :]
+    if variant in ("icws", "licws", "pcws"):
+        t = np.floor(lw / r + b)
+        ln_y = r * (t - b)
+        if variant == "icws":
+            a = np.log(-np.log(u4 * np.roll(u4, 1, axis=1))) - ln_y - r
+        elif variant == "licws":
+            a = -ln_y - r
         else:
-            t = np.floor(w[None, :] / r + b)
-            y = r * (t - b)
-            a = -np.log(u4 * np.roll(u4, 1, axis=1)) / (y + r)
+            a = np.log(-np.log(u4)) - ln_y - r
+    else:
+        t = np.floor(w[None, :] / r + b)
+        y = r * (t - b)
+        a = -np.log(u4 * np.roll(u4, 1, axis=1)) / (y + r)
     return np.argmin(a, axis=1)
 
 

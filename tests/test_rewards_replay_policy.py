@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.operators import ALL_OPS
 from repro.core.policy import STATE_DIM, AgentPolicy, state_embedding
-from repro.core.rewards import discounted_returns, lambda_returns, pseudo_score
+from repro.core.rewards import discounted_returns, pseudo_score
 
 
 class TestPseudoScore:
@@ -28,6 +28,21 @@ class TestPseudoScore:
         assert pseudo_score(1.5, 0.5) == pseudo_score(1.0, 0.5)
 
 
+def _eq10_lambda_returns(r, gamma, lam):
+    """Eq. 10 written out: U_t = (1-λ) Σ_{n=1}^{T-t-1} λ^{n-1} G_t^(n)
+    + λ^{T-t-1} G_t^(T-t), with the n-step returns
+    G_t^(n) = Σ_{i<n} γ^i r_{t+i} and no value function."""
+    T = len(r)
+    out = np.zeros(T)
+    for t in range(T):
+        h = T - t
+        g = [sum(gamma**i * r[t + i] for i in range(n)) for n in range(1, h + 1)]
+        out[t] = sum((1 - lam) * lam ** (n - 1) * g[n - 1] for n in range(1, h)) + (
+            lam ** (h - 1) * g[h - 1]
+        )
+    return out
+
+
 class TestReturns:
     def test_discounted_manual(self):
         r = np.array([1.0, 0.0, 2.0])
@@ -38,25 +53,16 @@ class TestReturns:
         r = np.array([0.3, -0.2, 0.9])
         np.testing.assert_allclose(discounted_returns(r, 0.0), r)
 
-    def test_lambda_one_recovers_monte_carlo(self):
-        r = np.array([0.5, -0.1, 0.2, 0.7])
+    @pytest.mark.parametrize("lam", [0.0, 0.8, 1.0])
+    @pytest.mark.parametrize("T", [0, 1, 4, 9])
+    def test_lambda_return_is_gamma_lambda_discount(self, lam, T):
+        """Eq. 10's λ-return with no bootstrap equals the return discounted
+        at γλ, which is how stage 2 computes it."""
+        gamma = 0.9
+        r = np.random.default_rng(T).normal(size=T)
         np.testing.assert_allclose(
-            lambda_returns(r, gamma=0.9, lam=1.0), discounted_returns(r, 0.9)
+            discounted_returns(r, gamma * lam), _eq10_lambda_returns(r, gamma, lam), rtol=1e-12
         )
-
-    def test_lambda_zero_is_one_step(self):
-        r = np.array([0.5, -0.1, 0.2])
-        u = lambda_returns(r, gamma=0.9, lam=0.0)
-        # n=1 returns are just r_t except at the terminal truncation
-        np.testing.assert_allclose(u[:-1], r[:-1])
-        np.testing.assert_allclose(u[-1], r[-1])
-
-    def test_empty_rewards(self):
-        assert discounted_returns(np.array([])).shape == (0,)
-        assert lambda_returns(np.array([])).shape == (0,)
-
-    def test_single_reward(self):
-        np.testing.assert_allclose(lambda_returns(np.array([2.0])), [2.0])
 
 
 class TestStateEmbedding:
@@ -122,11 +128,3 @@ class TestAgentPolicy:
         h0 = a.h.copy()
         a.probs(np.ones(STATE_DIM) * 0.3)
         assert not np.allclose(h0, a.h)
-
-    def test_greedy_act_deterministic(self):
-        a = AgentPolicy(seed=5)
-        a.reset()
-        act1, _ = a.act(np.zeros(STATE_DIM), greedy=True)
-        a.reset()
-        act2, _ = a.act(np.zeros(STATE_DIM), greedy=True)
-        assert act1 == act2
