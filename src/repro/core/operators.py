@@ -1,11 +1,9 @@
-"""The paper's 9 feature-transformation operators, in two matched forms.
+"""The paper's 9 feature-transformation operators, as numpy functions.
 
-Each operator carries (1) a Catalyst ``Column`` expression builder, used
-when engineered features are materialized on a Spark DataFrame, and
-(2) a numpy implementation, used inside the RL loop where thousands of
-tiny candidate evaluations would be strangled by per-candidate Spark
-jobs. Tests assert the two forms agree element-wise and that the Spark
-form matches a DuckDB re-implementation via the oracle.
+Every feature a method generates and scores is ``numpy_op`` output,
+computed in memory inside the RL loop. Tests check each operator, and
+compositions of them, row for row against an independent DuckDB
+rendering (``repro.oracle.spec_sql``).
 
 Domain safety follows common AFE practice (NFS does the same): log and
 sqrt operate on |x| (log additionally on |x|+1), reciprocal / division /
@@ -15,22 +13,12 @@ composition up to the maximum order is well-defined.
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import Column
-from pyspark.sql import functions as F
-from pyspark.sql.window import Window
 
 UNARY_OPS = ("log", "minmax", "sqrt", "reciprocal")
 BINARY_OPS = ("add", "sub", "mul", "div", "mod")
 ALL_OPS = UNARY_OPS + BINARY_OPS
 
-__all__ = ["UNARY_OPS", "BINARY_OPS", "ALL_OPS", "numpy_op", "spark_op", "duckdb_op_sql"]
-
-def _whole_frame() -> Window:
-    """Single-frame window for whole-column min/max. Built lazily: a
-    module-level Window would require an active SparkContext at import
-    time, and this module is imported inside Python workers (numpy path
-    only) where none exists."""
-    return Window.partitionBy()
+__all__ = ["UNARY_OPS", "BINARY_OPS", "ALL_OPS", "numpy_op"]
 
 
 def numpy_op(op: str, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -58,66 +46,4 @@ def numpy_op(op: str, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
         return np.where(b != 0.0, np.divide(a, b, where=b != 0.0), 0.0)
     if op == "mod":
         return np.where(b != 0.0, np.fmod(a, np.where(b != 0.0, b, 1.0)), 0.0)
-    raise ValueError(f"unknown operator {op!r}")
-
-
-def spark_op(op: str, a: Column, b: Column | None = None) -> Column:
-    """Catalyst expression equivalent of :func:`numpy_op`."""
-    a = a.cast("double")
-    if op == "log":
-        return F.log(F.abs(a) + F.lit(1.0))
-    if op == "minmax":
-        w = _whole_frame()
-        lo, hi = F.min(a).over(w), F.max(a).over(w)
-        return F.when(hi > lo, (a - lo) / (hi - lo)).otherwise(F.lit(0.0))
-    if op == "sqrt":
-        return F.sqrt(F.abs(a))
-    if op == "reciprocal":
-        return F.when(a != 0.0, F.lit(1.0) / a).otherwise(F.lit(0.0))
-    if b is None:
-        raise ValueError(f"binary operator {op!r} needs two inputs")
-    b = b.cast("double")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return F.when(b != 0.0, a / b).otherwise(F.lit(0.0))
-    if op == "mod":
-        return F.when(b != 0.0, a % b).otherwise(F.lit(0.0))
-    raise ValueError(f"unknown operator {op!r}")
-
-
-def duckdb_op_sql(op: str, a: str, b: str | None = None) -> str:
-    """DuckDB SQL fragment equivalent — the oracle's independent
-    re-implementation used by tests (min/max are window forms so the
-    fragment composes inside expressions)."""
-    if op == "log":
-        return f"ln(abs({a}) + 1.0)"
-    if op == "minmax":
-        return (
-            f"(CASE WHEN max({a}) OVER () > min({a}) OVER () THEN "
-            f"({a} - min({a}) OVER ()) / (max({a}) OVER () - min({a}) OVER ()) "
-            f"ELSE 0.0 END)"
-        )
-    if op == "sqrt":
-        return f"sqrt(abs({a}))"
-    if op == "reciprocal":
-        return f"(CASE WHEN {a} <> 0 THEN 1.0 / {a} ELSE 0.0 END)"
-    if b is None:
-        raise ValueError(f"binary operator {op!r} needs two inputs")
-    if op == "add":
-        return f"({a} + {b})"
-    if op == "sub":
-        return f"({a} - {b})"
-    if op == "mul":
-        return f"({a} * {b})"
-    if op == "div":
-        return f"(CASE WHEN {b} <> 0 THEN {a} / {b} ELSE 0.0 END)"
-    if op == "mod":
-        # DuckDB's % has dividend-sign semantics matching numpy fmod and
-        # Spark %; DuckDB's fmod() follows the divisor sign instead.
-        return f"(CASE WHEN {b} <> 0 THEN ({a} % {b}) ELSE 0.0 END)"
     raise ValueError(f"unknown operator {op!r}")

@@ -1,12 +1,11 @@
-"""Feature expression trees and their materialization.
+"""Feature expression trees.
 
 A :class:`FeatureSpec` is the unit the RL agents produce: a composition
 of the 9 operators over original feature columns, bounded by the paper's
-maximum order (default 5 — §IV-A4). One spec has three renderings:
-
-- ``to_numpy(X)`` — evaluate against an (M, N) matrix (the RL loop);
-- ``to_spark(df, cols)`` — a Catalyst ``Column`` (materializing results);
-- ``to_duckdb(cols)`` — a SQL fragment (the correctness oracle).
+maximum order (default 5 — §IV-A4). ``to_numpy(X)`` evaluates a spec
+against an (M, N) matrix with ``numpy_op``; that is the one rendering
+every method scores. Tests check it against DuckDB
+(``repro.oracle.spec_sql``).
 
 Specs are immutable, hashable and carry a canonical ``name`` used for
 de-duplication (the engine's set of seen specs keys on it).
@@ -16,11 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from pyspark.sql import Column, DataFrame
 
-from .operators import BINARY_OPS, UNARY_OPS, duckdb_op_sql, numpy_op, spark_op
+from .operators import BINARY_OPS, UNARY_OPS, numpy_op
 
-__all__ = ["FeatureSpec", "leaf", "apply_op", "is_usable", "materialize", "parse_spec"]
+__all__ = ["FeatureSpec", "leaf", "apply_op", "is_usable", "parse_spec"]
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,7 @@ class FeatureSpec:
             out |= self.right.leaves()
         return out
 
-    # -- renderings ---------------------------------------------------------
+    # -- rendering ----------------------------------------------------------
 
     def to_numpy(self, X: np.ndarray) -> np.ndarray:
         if self.is_leaf:
@@ -78,20 +76,6 @@ class FeatureSpec:
         a = self.left.to_numpy(X)
         b = self.right.to_numpy(X) if self.right is not None else None
         return numpy_op(self.op, a, b)
-
-    def to_spark(self, df: DataFrame, cols: list[str]) -> Column:
-        if self.is_leaf:
-            return df[cols[self.index]].cast("double")
-        a = self.left.to_spark(df, cols)
-        b = self.right.to_spark(df, cols) if self.right is not None else None
-        return spark_op(self.op, a, b)
-
-    def to_duckdb(self, cols: list[str]) -> str:
-        if self.is_leaf:
-            return f'"{cols[self.index]}"'
-        a = self.left.to_duckdb(cols)
-        b = self.right.to_duckdb(cols) if self.right is not None else None
-        return duckdb_op_sql(self.op, a, b)
 
 
 def leaf(index: int) -> FeatureSpec:
@@ -144,17 +128,3 @@ def parse_spec(name: str) -> FeatureSpec:
                 return apply_op(op, parse_spec(inner[:i]), parse_spec(inner[i + 1 :]))
         raise ValueError(f"binary spec missing top-level comma: {name!r}")
     raise ValueError(f"unknown operator in spec {name!r}")
-
-
-def materialize(
-    df: DataFrame, cols: list[str], specs: list[FeatureSpec], prefix: str = "gen"
-) -> DataFrame:
-    """Append engineered columns to ``df`` through the DataFrame API.
-
-    This is the Catalyst path: one ``withColumns`` call, so the whole
-    feature set is a single projected plan. The oracle and integration
-    tests materialize a run's selected specs with it and check them
-    against the numpy path.
-    """
-    exprs = {f"{prefix}_{i}": s.to_spark(df, cols) for i, s in enumerate(specs)}
-    return df.withColumns(exprs)

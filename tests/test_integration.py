@@ -1,19 +1,17 @@
-"""Integration tests: the full E-AFE pipeline end-to-end on Spark.
+"""Integration tests: the full E-AFE pipeline end-to-end.
 
 These are the repo's "does the whole thing hang together" checks:
-FPE trained via the Spark labeling job, E-AFE run against it, the
-selected features materialized back through Catalyst, and the final
-engineered DataFrame verified against the DuckDB oracle.
+FPE trained via the Spark labeling job, E-AFE run against it, and every
+selected feature of the final matrix (``build_feature_matrix``) checked
+row for row against the DuckDB oracle.
 """
-import numpy as np
-import pandas as pd
 import pytest
 
 from repro.bench.tables import table1
-from repro.core.eafe import AFEConfig, run_afe
+from repro.core.eafe import AFEConfig, build_feature_matrix, run_afe
 from repro.core.fpe import FPEModel, label_corpus
-from repro.core.transform import materialize, parse_spec
-from repro.oracle import assert_equivalent
+from repro.core.transform import parse_spec
+from repro.oracle import assert_features_match
 from repro.synth_data import fpe_corpus, make_tabular
 
 CFG = AFEConfig(
@@ -46,53 +44,15 @@ class TestEndToEnd:
         for name in res.feature_names:
             assert parse_spec(name).name == name
 
-    def test_materialized_features_match_numpy(self, spark, run):
-        """The Catalyst rendering of the learned features equals the
-        numpy values the RL loop actually evaluated."""
+    def test_selected_features_pass_oracle(self, run):
+        """Every selected feature of the final matrix, nested ``minmax``
+        included, equals an independent DuckDB rendering row for row."""
         X, y, res = run
-        if not res.selected_specs:
-            pytest.skip("run selected no engineered features")
-        Xk = X.values[:, res.kept_columns]
-        cols = [f"c{i}" for i in range(Xk.shape[1])]
-        pdf = pd.DataFrame(Xk, columns=cols)
-        sdf = spark.createDataFrame(pdf)
-        out = materialize(sdf, cols, res.selected_specs).toPandas()
-        for i, s in enumerate(res.selected_specs):
-            got = np.sort(out[f"gen_{i}"].to_numpy(dtype=np.float64))
-            want = np.sort(s.to_numpy(Xk))
-            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
-
-    def test_materialized_features_pass_oracle(self, spark, run):
-        """Engineered DataFrame vs an independent DuckDB rendering.
-
-        DuckDB cannot nest window calls, so a spec with minmax-inside-
-        minmax is only checkable on the Spark/numpy pair (covered by the
-        previous test); pick a spec whose SQL rendering is flat enough.
-        """
-
-        def _nested_minmax(s):
-            def has_minmax(n):
-                if n is None or n.is_leaf:
-                    return False
-                return n.op == "minmax" or has_minmax(n.left) or has_minmax(n.right)
-
-            if s.is_leaf:
-                return False
-            inner = (s.op == "minmax") and (has_minmax(s.left) or has_minmax(s.right))
-            return inner or _nested_minmax(s.left) or (s.right is not None and _nested_minmax(s.right))
-
-        X, y, res = run
-        eligible = [s for s in res.selected_specs if not _nested_minmax(s)]
-        if not eligible:
-            pytest.skip("no oracle-renderable spec selected in this run")
-        Xk = X.values[:, res.kept_columns]
-        cols = [f"c{i}" for i in range(Xk.shape[1])]
-        pdf = pd.DataFrame(Xk, columns=cols)
-        sdf = spark.createDataFrame(pdf)
-        spec = eligible[0]
-        spark_out = materialize(sdf, cols, [spec]).select("c0", "gen_0")
-        sql = f'SELECT "c0", {spec.to_duckdb(cols)} AS gen_0 FROM t'
-        assert_equivalent(spark_out, sql, t=pdf)
+        assert res.selected_specs, "run selected no engineered features"
+        B = build_feature_matrix(X.values, res)
+        k = len(res.kept_columns)
+        assert B.shape[1] == k + len(res.selected_specs)
+        assert_features_match(B[:, :k], res.selected_specs, B[:, k:])
 
     def test_fewer_evaluations_than_nfs(self, run, fpe):
         """Table IV's shape at test scale."""

@@ -1,35 +1,38 @@
-"""Operator tests: numpy twin vs Catalyst expression vs DuckDB oracle.
+"""Operator tests: the numpy operators against the DuckDB oracle.
 
-Each of the 9 operators has three implementations that must agree: the
-numpy path used inside the RL loop, the Spark Column expression used to
-materialize features, and the DuckDB SQL fragment used as an independent
-oracle. A wrong rewrite in any one of them fails here.
+Each of the 9 operators is implemented once, in numpy (``numpy_op``):
+the only rendering any method scores. ``repro.oracle.spec_sql`` is an
+independent DuckDB re-implementation; the two must agree row for row,
+including on zeros, negatives, huge magnitudes and a constant column.
+A wrong rewrite of either fails here.
 """
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
-from repro.core.operators import ALL_OPS, BINARY_OPS, UNARY_OPS, duckdb_op_sql, numpy_op, spark_op
-from repro.oracle import assert_equivalent
+import repro
+from repro.core.operators import ALL_OPS, BINARY_OPS, UNARY_OPS, numpy_op
+from repro.core.transform import FeatureSpec, apply_op, leaf
+from repro.oracle import assert_features_match, spec_sql
 
 
 @pytest.fixture(scope="module")
 def pdf():
     rng = np.random.default_rng(0)
     n = 400
+    edge = [0.0, -0.0, -3.0, -1e12, 1e12, 1.0]
     return pd.DataFrame(
         {
-            "a": rng.normal(size=n) * 10,
+            "a": np.r_[rng.normal(size=n) * 10, edge],
             # include zeros and negatives to hit the guarded branches
-            "b": np.where(rng.random(n) < 0.1, 0.0, rng.normal(size=n) * 3),
+            "b": np.r_[np.where(rng.random(n) < 0.1, 0.0, rng.normal(size=n) * 3), edge[::-1]],
+            "c": np.full(n + len(edge), 2.5),
         }
     )
-
-
-@pytest.fixture(scope="module")
-def sdf(spark, pdf):
-    return spark.createDataFrame(pdf)
 
 
 class TestNumpySemantics:
@@ -73,61 +76,45 @@ class TestNumpySemantics:
             numpy_op("pow", np.ones(3), np.ones(3))
 
 
-@pytest.mark.parametrize("op", UNARY_OPS)
-def test_spark_matches_numpy_unary(spark, pdf, sdf, op):
-    got = np.array(
-        sdf.select(spark_op(op, sdf["a"]).alias("v")).toPandas()["v"], dtype=np.float64
-    )
-    # minmax is whole-column: Spark may reorder rows, so compare sorted.
-    expected = numpy_op(op, pdf["a"].to_numpy())
-    np.testing.assert_allclose(np.sort(got), np.sort(expected), rtol=1e-12, atol=1e-12)
-
-
-@pytest.mark.parametrize("op", BINARY_OPS)
-def test_spark_matches_numpy_binary(spark, pdf, sdf, op):
-    got = np.array(
-        sdf.select(spark_op(op, sdf["a"], sdf["b"]).alias("v")).toPandas()["v"],
-        dtype=np.float64,
-    )
-    expected = numpy_op(op, pdf["a"].to_numpy(), pdf["b"].to_numpy())
-    np.testing.assert_allclose(np.sort(got), np.sort(expected), rtol=1e-12, atol=1e-12)
-
-
-@pytest.mark.parametrize("op", UNARY_OPS)
-def test_spark_matches_duckdb_unary(spark, pdf, sdf, op):
-    spark_df = sdf.select(spark_op(op, sdf["a"]).alias("v"))
-    assert_equivalent(spark_df, f"SELECT {duckdb_op_sql(op, 'a')} AS v FROM t", t=pdf)
-
-
-@pytest.mark.parametrize("op", BINARY_OPS)
-def test_spark_matches_duckdb_binary(spark, pdf, sdf, op):
-    spark_df = sdf.select(spark_op(op, sdf["a"], sdf["b"]).alias("v"))
-    assert_equivalent(
-        spark_df, f"SELECT {duckdb_op_sql(op, 'a', 'b')} AS v FROM t", t=pdf
-    )
-
-
-def test_spark_binary_requires_two(sdf):
-    with pytest.raises(ValueError):
-        spark_op("add", sdf["a"])
-
-
-def test_spark_unknown_op(sdf):
-    with pytest.raises(ValueError):
-        spark_op("pow", sdf["a"], sdf["b"])
+@pytest.mark.parametrize("op", ALL_OPS)
+def test_numpy_matches_duckdb(pdf, op):
+    """``numpy_op`` on every column (pair), constant column included."""
+    X = pdf.to_numpy()
+    if op in UNARY_OPS:
+        args = [(i,) for i in range(X.shape[1])]
+    else:
+        args = [(i, j) for i in range(X.shape[1]) for j in range(X.shape[1])]
+    specs = [apply_op(op, *map(leaf, ij)) for ij in args]
+    values = np.column_stack([numpy_op(op, *(X[:, k] for k in ij)) for ij in args])
+    assert_features_match(X, specs, values)
 
 
 def test_duckdb_unknown_op():
     with pytest.raises(ValueError):
-        duckdb_op_sql("pow", "a", "b")
+        spec_sql(FeatureSpec(op="pow", left=leaf(0), right=leaf(1)), ["a", "b"], "t")
 
 
 def test_duckdb_binary_requires_two():
     with pytest.raises(ValueError):
-        duckdb_op_sql("mul", "a")
+        spec_sql(FeatureSpec(op="mul", left=leaf(0)), ["a"], "t")
 
 
 def test_all_ops_enumeration():
     assert len(ALL_OPS) == 9
     assert set(UNARY_OPS) == {"log", "minmax", "sqrt", "reciprocal"}
     assert set(BINARY_OPS) == {"add", "sub", "mul", "div", "mod"}
+
+
+def test_feature_modules_import_without_pyspark():
+    """Spark only fans work out: the operators, the spec trees and the
+    oracle that checks them load with no ``pyspark`` at all."""
+    code = (
+        "import sys; sys.modules['pyspark'] = None; "
+        "import repro.core.operators, repro.core.transform, repro.oracle"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(repro.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-3000:]

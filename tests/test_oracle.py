@@ -3,7 +3,8 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.oracle import assert_equivalent
+from repro.core.transform import apply_op, leaf
+from repro.oracle import assert_equivalent, assert_features_match
 
 
 @pytest.fixture(scope="module")
@@ -12,32 +13,34 @@ def pdf():
     return pd.DataFrame({"k": rng.integers(1, 5, 200), "v": rng.random(200)})
 
 
-def test_passes_on_equal_aggregation(spark, pdf):
-    sdf = spark.createDataFrame(pdf)
-    out = sdf.groupBy("k").sum("v").withColumnRenamed("sum(v)", "s")
+def test_passes_on_equal_aggregation(pdf):
+    out = pdf.groupby("k", as_index=False)["v"].sum().rename(columns={"v": "s"})
     assert_equivalent(out, "SELECT k, sum(v) AS s FROM t GROUP BY k", t=pdf)
 
 
-def test_accepts_spark_inputs(spark, pdf):
-    sdf = spark.createDataFrame(pdf)
-    out = sdf.selectExpr("k", "v * 2 AS w")
-    assert_equivalent(out, "SELECT k, v * 2 AS w FROM t", t=sdf)
-
-
-def test_fails_on_wrong_result(spark, pdf):
-    sdf = spark.createDataFrame(pdf)
-    wrong = sdf.selectExpr("k", "v * 3 AS w")
+def test_fails_on_wrong_result(pdf):
+    wrong = pdf.assign(w=pdf["v"] * 3)[["k", "w"]]
     with pytest.raises(AssertionError):
         assert_equivalent(wrong, "SELECT k, v * 2 AS w FROM t", t=pdf)
 
 
-def test_fails_on_column_mismatch(spark, pdf):
-    sdf = spark.createDataFrame(pdf)
-    out = sdf.selectExpr("k", "v AS not_aliased_same")
+def test_fails_on_column_mismatch(pdf):
+    out = pdf.rename(columns={"v": "not_aliased_same"})
     with pytest.raises(AssertionError, match="column mismatch"):
         assert_equivalent(out, "SELECT k, v AS w FROM t", t=pdf)
 
 
-def test_row_order_irrelevant(spark, pdf):
-    sdf = spark.createDataFrame(pdf).orderBy("v")
-    assert_equivalent(sdf.select("k", "v"), "SELECT k, v FROM t ORDER BY k", t=pdf)
+def test_row_order_irrelevant(pdf):
+    out = pdf.sort_values("v")[["k", "v"]]
+    assert_equivalent(out, "SELECT k, v FROM t ORDER BY k", t=pdf)
+
+
+def test_fails_on_permuted_rows(pdf):
+    """The right values in the wrong rows fail once a row id pairs them:
+    a multiset of values alone (sorted values) would pass."""
+    X = pdf[["v"]].to_numpy()
+    spec = apply_op("log", leaf(0))
+    values = spec.to_numpy(X)
+    assert_features_match(X, [spec], values)
+    with pytest.raises(AssertionError):
+        assert_features_match(X, [spec], np.random.default_rng(1).permutation(values))

@@ -1,12 +1,11 @@
-"""Tests for FeatureSpec trees, parsing, and Catalyst materialization."""
+"""Tests for FeatureSpec trees, parsing, and their numpy values against DuckDB."""
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.transform import (
-    FeatureSpec, apply_op, is_usable, leaf, materialize, parse_spec,
-)
-from repro.oracle import assert_equivalent
+from repro.core.fpe import _random_spec
+from repro.core.transform import apply_op, is_usable, leaf, parse_spec
+from repro.oracle import assert_features_match
 
 
 @pytest.fixture(scope="module")
@@ -81,8 +80,6 @@ class TestParse:
         assert parse_spec(name).name == name
 
     def test_round_trip_random_specs(self):
-        from repro.core.fpe import _random_spec
-
         rng = np.random.default_rng(0)
         for _ in range(50):
             s = _random_spec(5, 5, rng)
@@ -134,42 +131,27 @@ class TestIsUsable:
         assert is_usable(np.array([1.0, 1.0, 1.0 + 1e-15]))
 
 
-class TestSparkMaterialization:
-    def test_materialize_adds_columns(self, spark, pdf, specs):
-        sdf = spark.createDataFrame(pdf)
-        out = materialize(sdf, list(pdf.columns), specs)
-        assert out.columns == list(pdf.columns) + [f"gen_{i}" for i in range(len(specs))]
-
+class TestDuckDBOracle:
     @pytest.mark.parametrize("i", range(6))
-    def test_spark_matches_numpy(self, spark, pdf, specs, i):
-        s = specs[i]
-        sdf = spark.createDataFrame(pdf)
-        got = (
-            materialize(sdf, list(pdf.columns), [s])
-            .select("gen_0")
-            .toPandas()["gen_0"]
-            .to_numpy(dtype=np.float64)
-        )
-        expected = s.to_numpy(pdf.values)
-        np.testing.assert_allclose(np.sort(got), np.sort(expected), rtol=1e-10, atol=1e-10)
+    def test_numpy_matches_duckdb(self, pdf, specs, i):
+        X = pdf.to_numpy()
+        assert_features_match(X, [specs[i]], specs[i].to_numpy(X))
 
-    @pytest.mark.parametrize("i", range(6))
-    def test_spark_matches_duckdb_oracle(self, spark, pdf, specs, i):
-        s = specs[i]
-        sdf = spark.createDataFrame(pdf)
-        spark_out = materialize(sdf, list(pdf.columns), [s]).select(
-            pdf.columns[0], "gen_0"
-        )
-        sql = (
-            f'SELECT "x0", {s.to_duckdb(list(pdf.columns))} AS gen_0 FROM t'
-        )
-        assert_equivalent(spark_out, sql, t=pdf)
-
-    def test_single_projected_plan(self, spark, pdf, specs):
-        """All engineered columns land in one Catalyst projection (the
-        analyzed plan; the optimizer may fold a local relation)."""
-        sdf = spark.createDataFrame(pdf)
-        out = materialize(sdf, list(pdf.columns), specs[:2])
-        plan = out._jdf.queryExecution().analyzed().toString()
-        assert "Project" in plan
-        assert "gen_0" in plan and "gen_1" in plan
+    def test_random_compositions_match_duckdb(self):
+        """300 seeded random specs of order 1-5 on edge-valued columns:
+        N(0, 10), 15% zeros, a constant, +-1e12 and all-negative."""
+        rng = np.random.default_rng(7)
+        n = 200
+        X = np.column_stack([
+            rng.normal(size=n) * 10,
+            np.where(rng.random(n) < 0.15, 0.0, rng.normal(size=n)),
+            np.full(n, 3.0),
+            rng.choice([-1e12, 1e12], size=n) * rng.random(n),
+            -rng.random(n) * 5 - 0.1,
+        ])
+        specs = [_random_spec(X.shape[1], 5, rng) for _ in range(300)]
+        # _random_spec composes along one chain, so two minmax are nested.
+        assert any(s.name.count("minmax") >= 2 for s in specs)
+        values = np.column_stack([s.to_numpy(X) for s in specs])
+        assert np.isfinite(values).all()
+        assert_features_match(X, specs, values)
