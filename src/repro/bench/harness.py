@@ -45,7 +45,7 @@ class Method(NamedTuple):
     """How ``run_cell`` produces one Table III column.
 
     ``runner`` (``run_afe``, ``run_nfs`` or ``run_autofs_r``) runs the
-    feature engineering on ``_eafe_config(seed, **overrides)``, consulting
+    feature engineering on ``AFEConfig(seed=seed, **overrides)``, consulting
     the FPE model of hash family ``variant`` if one is named. ``dl`` is the
     rtdl step: on the raw data when there is no runner, otherwise on the
     runner's engineered feature matrix.
@@ -96,10 +96,6 @@ def train_fpe_models(
     }
 
 
-def _eafe_config(seed: int, **overrides) -> AFEConfig:
-    return AFEConfig(seed=seed, **overrides)
-
-
 def run_cell(
     method: str,
     spec: DatasetSpec,
@@ -132,7 +128,7 @@ def run_cell(
     feature_matrix = X
     if m.runner is not None:
         fpe = {"fpe": fpe_models[m.variant]} if m.variant else {}
-        r = m.runner(X, y, task, cfg=_eafe_config(seed, **m.overrides), **fpe)
+        r = m.runner(X, y, task, cfg=AFEConfig(seed=seed, **m.overrides), **fpe)
         feature_matrix = build_feature_matrix(X, r)
         out.update(
             score=r.best_score,

@@ -1,8 +1,6 @@
-"""SparkSession factory for the ``jobs/`` entrypoints.
-
-Tests use the ``spark`` fixture from conftest.py; standalone jobs get an
-equivalently-configured session here (same shuffle/Arrow/broadcast
-settings). Under ``spark-submit`` the master/memory come from the
+"""The one SparkSession factory: the ``jobs/`` entrypoints, the
+benchmark and the tests' ``spark`` fixture (conftest.py) all get their
+session here. Under ``spark-submit`` the master/memory come from the
 submit command; run directly, the PYSPARK_SUBMIT_ARGS default applies.
 """
 from __future__ import annotations

@@ -35,6 +35,7 @@ from ..hashing.minhash import select_indices
 from ..ml.forest import BinnedFolds, cross_val_score
 from ..ml.metrics import precision_recall
 from ..ml.mlp import MLP
+from ..ml.tree import finite
 
 __all__ = ["feature_signature", "label_corpus", "FPEModel"]
 
@@ -47,7 +48,7 @@ def _minmax01_at(v: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Rows ``idx`` of ``v`` min-max scaled per column over all rows, with
     NaN/±inf read as 0; a constant column scales to 0. Only the selected
     rows are normalised."""
-    v = np.nan_to_num(np.asarray(v, dtype=np.float64), nan=0.0, posinf=0.0, neginf=0.0)
+    v = finite(v)
     lo, hi = v.min(axis=0), v.max(axis=0)
     # A constant column has v - lo == 0, so dividing by 1 gives the 0.
     return (v[idx] - lo) / np.where(hi > lo, hi - lo, 1.0)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..ml.linear import Adam
+from ..ml.tree import finite
 from .operators import ALL_OPS
 
 __all__ = ["STATE_DIM", "AgentPolicy", "state_embedding"]
@@ -34,8 +35,7 @@ def state_embedding(values: np.ndarray, subgroup_size: int, t: int) -> np.ndarra
     feature values plus subgroup-size/round context. Bounded via tanh so
     the RNN input scale is stable across datasets.
     """
-    v = np.asarray(values, dtype=np.float64)
-    v = np.nan_to_num(v, nan=0.0, posinf=0.0, neginf=0.0)
+    v = finite(values)
     sd = v.std()
     sk = float(np.mean(((v - v.mean()) / sd) ** 3)) if sd > 0 else 0.0
     raw = np.array(

@@ -34,6 +34,8 @@ import functools
 
 import numpy as np
 
+from ..ml.tree import finite
+
 VARIANTS = ("icws", "licws", "pcws", "ccws")
 
 __all__ = ["VARIANTS", "select_indices", "weighted_jaccard"]
@@ -48,8 +50,7 @@ def _normalize_weights(x: np.ndarray) -> np.ndarray:
     across features with wildly different magnitudes (a requirement for
     a cross-dataset FPE classifier).
     """
-    x = np.asarray(x, dtype=np.float64)
-    x = np.nan_to_num(x, nan=0.0, posinf=0.0, neginf=0.0)
+    x = finite(x)
     w = x - x.min() + 1e-9
     m = w.mean()
     return w / m if m > 0 else np.full_like(w, 1e-9)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linear import standardize_apply, standardize_fit
+from .tree import finite
 
 __all__ = ["GPRegressor"]
 
@@ -31,7 +32,7 @@ class GPRegressor:
         return np.exp(-0.5 * np.maximum(d2, 0.0) / self._ls**2)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GPRegressor":
-        X = np.nan_to_num(np.asarray(X, dtype=np.float64), nan=0.0, posinf=0.0, neginf=0.0)
+        X = finite(X)
         y = np.asarray(y, dtype=np.float64)
         self._mu, self._sd = standardize_fit(X)
         self._Xtr = standardize_apply(X, self._mu, self._sd)
@@ -44,6 +45,6 @@ class GPRegressor:
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.nan_to_num(np.asarray(X, dtype=np.float64), nan=0.0, posinf=0.0, neginf=0.0)
+        X = finite(X)
         Ks = self._kernel(standardize_apply(X, self._mu, self._sd), self._Xtr)
         return Ks @ self._alpha + self._ymean

@@ -18,12 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from .linear import Adam, standardize_apply, standardize_fit
+from .tree import finite
 
 __all__ = ["FullBatchNet", "MLP"]
-
-
-def _finite(X: np.ndarray) -> np.ndarray:
-    return np.nan_to_num(np.asarray(X, dtype=np.float64), nan=0.0, posinf=0.0, neginf=0.0)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -42,10 +39,10 @@ class FullBatchNet:
         self.seed = seed
 
     def _standardize(self, X: np.ndarray) -> np.ndarray:
-        return standardize_apply(_finite(X), self._mu, self._sd)
+        return standardize_apply(finite(X), self._mu, self._sd)
 
     def fit(self, X: np.ndarray, y: np.ndarray):
-        self._mu, self._sd = standardize_fit(_finite(X))
+        self._mu, self._sd = standardize_fit(finite(X))
         Xs = self._standardize(X)
         y = np.asarray(y)
         n = len(Xs)

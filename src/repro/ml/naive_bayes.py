@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .tree import finite
+
 __all__ = ["GaussianNB"]
 
 
@@ -13,9 +15,8 @@ class GaussianNB:
         self.var_smoothing = var_smoothing
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GaussianNB":
-        X = np.asarray(X, dtype=np.float64)
+        X = finite(X)
         y = np.asarray(y)
-        X = np.nan_to_num(X, nan=0.0, posinf=0.0, neginf=0.0)
         self.classes_ = np.unique(y)
         self._theta = np.stack([X[y == c].mean(axis=0) for c in self.classes_])
         self._var = np.stack([X[y == c].var(axis=0) for c in self.classes_])
@@ -26,7 +27,7 @@ class GaussianNB:
         return self
 
     def _joint_log_likelihood(self, X: np.ndarray) -> np.ndarray:
-        X = np.nan_to_num(np.asarray(X, dtype=np.float64), nan=0.0, posinf=0.0, neginf=0.0)
+        X = finite(X)
         # (n, C): sum over features of log N(x | theta_c, var_c) + log prior
         diff = X[:, None, :] - self._theta[None, :, :]
         ll = -0.5 * np.sum(

@@ -4,24 +4,29 @@ This is the substrate under ``repro.ml.forest`` — the paper's downstream
 evaluation task is Random-Forest cross-validation, and the box has no
 sklearn, so the tree is built from scratch, after the ``hist`` tree
 method of LightGBM and XGBoost. Features are quantile-binned to uint8
-codes; ``RandomForest`` bins once per forest fit (or takes codes binned
-per CV fold by ``repro.ml.forest.BinnedFolds``) and hands every tree
-the codes of its bootstrap rows. A tree grows level by level: at each
-depth the frontier's nodes draw their candidate features (one draw for
-the whole level, nodes in breadth-first order), one ``np.bincount``
-builds every (class, node, candidate, bin) histogram (three for
-regression: count, sum, sum of squares), one impurity call scores the
-left and right children of every split, and a vectorised scan picks
-each node's best split. No Python runs per node, so a depth-6 fit costs
-a fixed few dozen numpy calls per level (about a millisecond on 667 x 15
-codes) — essential because AFE evaluates hundreds of candidate features
-per epoch.
+codes (``bin_features``, ``apply_bins``), with NaN and ±inf cells read
+as 0 first (``finite``, the one bad-cell rule of the package). A
+``DecisionTree`` fits bin codes and class indices only: binning and
+class encoding are done by ``RandomForest.fit`` for a raw matrix, once
+per forest, and by ``repro.ml.forest.BinnedFolds`` per CV fold; every
+tree gets the codes of its bootstrap rows. A fitted tree is flat node
+arrays plus ``apply``, which routes rows of codes to their leaves.
+
+A tree grows level by level: at each depth the frontier's nodes draw
+their candidate features (one draw for the whole level, nodes in
+breadth-first order), one ``np.bincount`` builds every (class, node,
+candidate, bin) histogram (three for regression: count, sum, sum of
+squares), one impurity call scores the left and right children of every
+split, and a vectorised scan picks each node's best split. No Python
+runs per node, so a depth-6 fit costs a fixed few dozen numpy calls per
+level (about a millisecond on 667 x 15 codes) — essential because AFE
+evaluates hundreds of candidate features per epoch.
 """
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["bin_features", "apply_bins", "DecisionTree"]
+__all__ = ["bin_features", "apply_bins", "finite", "DecisionTree"]
 
 _LEAF = -1
 
@@ -47,7 +52,8 @@ def apply_bins(X: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 
 def finite(X: np.ndarray) -> np.ndarray:
-    """``X`` as float64 with NaN and ±inf replaced by 0 (before binning)."""
+    """``X`` as float64 with NaN and ±inf replaced by 0: how every model
+    of the package reads a bad cell."""
     return np.nan_to_num(np.asarray(X, dtype=np.float64), nan=0.0, posinf=0.0, neginf=0.0)
 
 
@@ -100,7 +106,6 @@ class DecisionTree:
         max_depth: int = 6,
         min_leaf: int = 2,
         max_features: int | None = None,
-        n_bins: int = 32,
         seed: int = 0,
     ):
         if task not in ("C", "R"):
@@ -109,7 +114,6 @@ class DecisionTree:
         self.max_depth = max_depth
         self.min_leaf = min_leaf
         self.max_features = max_features
-        self.n_bins = n_bins
         self.seed = seed
 
     # -- fitting -----------------------------------------------------------
@@ -118,30 +122,20 @@ class DecisionTree:
         self,
         X: np.ndarray,
         y: np.ndarray,
-        edges: np.ndarray | None = None,
+        edges: np.ndarray,
         classes: np.ndarray | None = None,
     ) -> "DecisionTree":
-        """Fit on raw ``X``, or on bin codes when ``edges`` is given.
+        """Fit on the bin codes ``X = apply_bins(raw, edges)``.
 
-        With ``edges``, ``X`` holds the ``apply_bins(X, edges)`` codes
-        (``RandomForest`` bins once and passes each tree its bootstrap
-        rows). With ``classes`` (classification), ``y`` holds indices
-        into ``classes`` instead of labels.
+        For classification ``y`` holds indices into ``classes``; for
+        regression it holds the targets.
         """
-        if edges is None:
-            X = finite(X)
-            edges = bin_features(X, self.n_bins)
-            X = apply_bins(X, edges)
-        self.edges_ = edges
         Xb = np.ascontiguousarray(X, dtype=np.intp)  # codes widen once per fit
         n, n_features = Xb.shape
         n_bins = edges.shape[1] + 1
         if self.task == "C":
-            if classes is None:
-                classes, y = np.unique(y, return_inverse=True)
-            self.classes_ = np.asarray(classes)
             y = np.asarray(y, dtype=np.intp)
-            k = len(self.classes_)
+            k = len(classes)
             root = np.bincount(y, minlength=k).astype(np.float64)
         else:
             y = np.asarray(y, dtype=np.float64)
@@ -263,17 +257,3 @@ class DecisionTree:
             go_left = Xb.take(at + self.feature_.take(node)) <= self.threshold_.take(node)
             node = np.where(go_left, self.left_.take(node), self.right_.take(node))
         return node
-
-    def _leaf_values(self, X: np.ndarray) -> np.ndarray:
-        return self.value_[self.apply(apply_bins(finite(X), self.edges_))]
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Class-probability matrix (classification only)."""
-        if self.task != "C":
-            raise ValueError("predict_proba is classification-only")
-        return self._leaf_values(X)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        if self.task == "C":
-            return self.classes_[np.argmax(self.predict_proba(X), axis=1)]
-        return self._leaf_values(X)

@@ -1,4 +1,6 @@
 """Tests for the 36-dataset roster and the Spark grid harness."""
+import functools
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -97,10 +99,10 @@ class TestRunCell:
         import repro.bench.harness as H
 
         monkeypatch.setattr(
-            H, "_eafe_config",
-            lambda seed, **kw: H.AFEConfig(
-                epochs_stage1=1, epochs_stage2=1, steps_per_agent=2,
-                max_agents=4, cv_trees=4, seed=seed, **kw,
+            H, "AFEConfig",
+            functools.partial(
+                H.AFEConfig, epochs_stage1=1, epochs_stage2=1, steps_per_agent=2,
+                max_agents=4, cv_trees=4,
             ),
         )
         out = run_cell("E-AFE", by_name("labor"), fpe_models, seed=0,

@@ -1,10 +1,15 @@
 """Tests for the histogram-CART tree and Random Forest substrate."""
+import hashlib
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.ml.forest import BinnedFolds, RandomForest, cross_val_score, kfold_indices
 from repro.ml.metrics import score as metric_score
-from repro.ml.tree import DecisionTree, apply_bins, bin_features
+from repro.ml.tree import DecisionTree, apply_bins, bin_features, finite
 
 
 @pytest.fixture()
@@ -49,34 +54,45 @@ class TestBinning:
         assert (np.diff(b) >= 0).all()
 
 
+def _fit_tree(X, y, task="C", **kw):
+    """A tree fitted as ``RandomForest`` fits one: on the bin codes of
+    ``X`` and, for classification, on class indices. Returns the tree
+    and the codes."""
+    edges = bin_features(X)
+    codes = apply_bins(X, edges)
+    classes = None
+    if task == "C":
+        classes, y = np.unique(y, return_inverse=True)
+    return DecisionTree(task, **kw).fit(codes, y, edges, classes), codes
+
+
+def _predict(tree, codes):
+    """Class index (argmax of the leaf's class fractions) or mean target."""
+    v = tree.value_[tree.apply(codes)]
+    return np.argmax(v, axis=1) if tree.task == "C" else v
+
+
 class TestDecisionTree:
     def test_classification_separable(self, clf_data):
         X, y = clf_data
-        t = DecisionTree(task="C", max_depth=6).fit(X, y)
-        assert (t.predict(X) == y).mean() > 0.9
+        t, codes = _fit_tree(X, y, "C", max_depth=6)
+        assert (_predict(t, codes) == y).mean() > 0.9
 
     def test_regression_fit(self, reg_data):
         X, y = reg_data
-        t = DecisionTree(task="R", max_depth=6).fit(X, y)
-        resid = y - t.predict(X)
+        t, codes = _fit_tree(X, y, "R", max_depth=6)
+        resid = y - _predict(t, codes)
         assert resid.var() < 0.3 * y.var()
 
     def test_predict_proba_rows_sum_to_one(self, clf_data):
         X, y = clf_data
-        t = DecisionTree(task="C").fit(X, y)
-        p = t.predict_proba(X[:20])
-        np.testing.assert_allclose(p.sum(axis=1), 1.0)
-
-    def test_proba_regression_raises(self, reg_data):
-        X, y = reg_data
-        t = DecisionTree(task="R").fit(X, y)
-        with pytest.raises(ValueError):
-            t.predict_proba(X)
+        t, codes = _fit_tree(X, y, "C")
+        np.testing.assert_allclose(t.value_[t.apply(codes[:20])].sum(axis=1), 1.0)
 
     def test_max_depth_zero_is_constant(self, clf_data):
         X, y = clf_data
-        t = DecisionTree(task="C", max_depth=0).fit(X, y)
-        assert len(np.unique(t.predict(X))) == 1
+        t, codes = _fit_tree(X, y, "C", max_depth=0)
+        assert len(np.unique(_predict(t, codes))) == 1
 
     def test_invalid_task(self):
         with pytest.raises(ValueError):
@@ -85,27 +101,93 @@ class TestDecisionTree:
     def test_pure_node_stops(self):
         X = np.random.default_rng(0).normal(size=(50, 2))
         y = np.zeros(50, dtype=int)
-        t = DecisionTree(task="C").fit(X, y)
-        assert (t.predict(X) == 0).all()
+        t, codes = _fit_tree(X, y, "C")
+        assert len(t.feature_) == 1
+        assert (_predict(t, codes) == 0).all()
 
     def test_importances_identify_signal(self, clf_data):
         X, y = clf_data
-        t = DecisionTree(task="C", max_depth=5).fit(X, y)
+        t, _ = _fit_tree(X, y, "C", max_depth=5)
         # Signal features 0/1 should dominate the noise columns.
         assert t.feature_importances_[:2].sum() > t.feature_importances_[2:].sum()
 
     def test_nan_inputs_handled(self, clf_data):
+        # The forest reads bad cells before it bins; its trees see codes.
         X, y = clf_data
         X = X.copy()
         X[0, 0] = np.nan
-        t = DecisionTree(task="C").fit(X, y)
-        assert np.isfinite(t.predict_proba(X)).all()
+        rf = RandomForest(task="C", n_trees=2).fit(X, y)
+        assert all(np.isfinite(t.value_).all() for t in rf.trees_)
+        assert set(rf.predict(X)) <= {0, 1}
 
     def test_deterministic(self, clf_data):
         X, y = clf_data
-        p1 = DecisionTree(task="C", seed=3, max_features=2).fit(X, y).predict(X)
-        p2 = DecisionTree(task="C", seed=3, max_features=2).fit(X, y).predict(X)
+        p1 = _predict(*_fit_tree(X, y, "C", seed=3, max_features=2))
+        p2 = _predict(*_fit_tree(X, y, "C", seed=3, max_features=2))
         assert (p1 == p2).all()
+
+
+class TestGoldenTrees:
+    """Every tree of a seeded forest, pinned exactly through
+    ``RandomForest.fit`` on a raw matrix with NaN/±inf cells: a change to
+    the binning, the class encoding or the split search must keep each
+    tree's arrays bit for bit. Per tree: node count, the root's
+    ``feature_`` and two children's, and the sha256 of ``feature_``,
+    ``threshold_``, ``left_``, ``right_``, ``value_`` and
+    ``feature_importances_``."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(120, 5))
+        X[::9, 1], X[4::13, 3], X[7::17, 4] = np.nan, np.inf, -np.inf
+        y_c = np.where(X[:, 0] + 0.6 * rng.normal(size=120) > 0, "yes", "no")
+        y_r = X[:, 2] - 0.5 * X[:, 0] ** 2 + 0.1 * rng.normal(size=120) + 1e9
+        return X, y_c, y_r
+
+    @staticmethod
+    def _pins(rf):
+        out = []
+        for t in rf.trees_:
+            h = hashlib.sha256()
+            for a in ("feature_", "threshold_", "left_", "right_", "value_", "feature_importances_"):
+                h.update(np.ascontiguousarray(getattr(t, a)).tobytes())
+            out.append((len(t.feature_), t.feature_[:3].tolist(), h.hexdigest()))
+        return out
+
+    def test_classification_string_labels(self, data):
+        X, y, _ = data
+        rf = RandomForest("C", n_trees=3, seed=1).fit(X, y)
+        assert rf.classes_.tolist() == ["no", "yes"]
+        assert self._pins(rf) == [
+            (35, [3, 0, 2], "7a835372faceab74dc13ba20189842a6d9c0eb260ad753360bb26071ce81edeb"),
+            (27, [1, 2, 0], "ddb4fc5feb60bbc861a23bd5184972fec7c013d65b31c5685e9572779cc38198"),
+            (33, [1, 2, 1], "90a271321a73d50a29e57fa1938230367026c2f311f2570f4fe5228336f75df7"),
+        ]
+
+    def test_regression_large_offset(self, data):
+        X, _, y = data
+        rf = RandomForest("R", n_trees=3, seed=1).fit(X, y)
+        assert self._pins(rf) == [
+            (45, [2, 1, 2], "3cdf1a6d03a187910699b74e6ae3a2948be9324785bc5e0c624d8b9b8ca60471"),
+            (55, [1, 2, 0], "4f610b3d51df5cb0b0c2a62dd4c85b2005cab78ec11309653d7c84dca884e4f8"),
+            (59, [1, 2, 4], "49cadcf9f4a6f3c07107488edfa7453a1f88809fbd6910050a932a085fceb486"),
+        ]
+
+
+def test_bad_cells_have_one_reader():
+    """``finite`` is the package's one NaN/±inf-to-0 rule: ``nan_to_num``
+    appears nowhere else under ``repro``."""
+    root = Path(repro.__file__).parent
+    hits = {
+        (p.relative_to(root).as_posix(), i)
+        for p in root.rglob("*.py")
+        for i, line in enumerate(p.read_text().splitlines(), 1)
+        if "nan_to_num" in line
+    }
+    lines, first = inspect.getsourcelines(finite)
+    inside = {("ml/tree.py", first + i) for i in range(len(lines))}
+    assert hits and hits <= inside, sorted(hits - inside)
 
 
 class TestRandomForest:
@@ -219,14 +301,14 @@ class TestLevelWiseTree:
             y = (X[:, 2] + 0.7 * rng.normal(size=300) > 0.3).astype(int)
         else:
             y = np.sin(2 * X[:, 3]) + 0.3 * rng.normal(size=300)
-        t = DecisionTree(task=task, max_depth=3, min_leaf=4, max_features=None).fit(X, y)
-        cands = _brute_force_root(apply_bins(X, t.edges_), y, task, 4)
+        t, codes = _fit_tree(X, y, task, max_depth=3, min_leaf=4, max_features=None)
+        cands = _brute_force_root(codes, y, task, 4)
         best = min(cands, key=cands.get)
         runner_up = sorted(cands.values())[1]
         assert runner_up - cands[best] > 1e-9  # the optimum is unique
         assert (t.feature_[0], t.threshold_[0]) == best
         # A stump's importance is the root's gain x rows.
-        stump = DecisionTree(task=task, max_depth=1, min_leaf=4).fit(X, y)
+        stump, _ = _fit_tree(X, y, task, max_depth=1, min_leaf=4)
         parent = len(y) * (1.0 - np.sum((np.bincount(y) / len(y)) ** 2) if task == "C" else y.var())
         assert stump.feature_importances_.sum() == pytest.approx(parent - cands[best], rel=1e-9)
 
@@ -236,8 +318,9 @@ class TestLevelWiseTree:
         X = rng.normal(size=(500, 7))
         y = (X[:, 0] * X[:, 1] > 0).astype(int) if task == "C" else X[:, 0] * X[:, 1]
         for max_depth, min_leaf in ((4, 5), (7, 2), (2, 40)):
-            t = DecisionTree(task, max_depth, min_leaf, max_features=3, seed=1).fit(X, y)
-            counts = np.bincount(t.apply(apply_bins(X, t.edges_)), minlength=len(t.feature_))
+            t, codes = _fit_tree(X, y, task, max_depth=max_depth, min_leaf=min_leaf,
+                                 max_features=3, seed=1)
+            counts = np.bincount(t.apply(codes), minlength=len(t.feature_))
             leaf = t.feature_ < 0
             assert (counts[leaf] >= min_leaf).all()
             assert (counts[~leaf] == 0).all()  # every row ends at a leaf
@@ -248,15 +331,15 @@ class TestLevelWiseTree:
         rng = np.random.default_rng(6)
         X = rng.normal(size=(400, 4))
         y = X[:, 0] + 10.0 * (X[:, 1] > 0) + 1e6  # large offset: exercise precision
-        t = DecisionTree("R", max_depth=5, min_leaf=3).fit(X, y)
-        leaves = t.apply(apply_bins(X, t.edges_))
+        t, codes = _fit_tree(X, y, "R", max_depth=5, min_leaf=3)
+        leaves = t.apply(codes)
         for node in np.unique(leaves):
             assert t.value_[node] == pytest.approx(y[leaves == node].mean(), rel=1e-12)
 
     def test_regression_target_with_large_offset(self, reg_data):
         X, y = reg_data
-        t = DecisionTree(task="R", max_depth=6).fit(X, y + 1e9)
-        resid = y + 1e9 - t.predict(X)
+        t, codes = _fit_tree(X, y + 1e9, "R", max_depth=6)
+        resid = y + 1e9 - _predict(t, codes)
         assert resid.var() < 0.3 * y.var()
 
     def test_forest_fit_bins_once(self, monkeypatch, clf_data):
@@ -281,23 +364,21 @@ class TestLevelWiseTree:
         X, y = clf_data if task == "C" else reg_data
         y = np.where(y == 1, "yes", "no") if task == "C" else y
         rf = RandomForest(task=task, n_trees=4, seed=2).fit(X[:300], y[:300])
+        codes = apply_bins(X[300:], rf.edges_)
+
+        def leaf(t, row):  # walk from the root, one node at a time
+            node = 0
+            while t.feature_[node] >= 0:
+                go_left = row[t.feature_[node]] <= t.threshold_[node]
+                node = t.left_[node] if go_left else t.right_[node]
+            return node
+
+        total = sum(np.array([t.value_[leaf(t, row)] for row in codes]) for t in rf.trees_)
         if task == "C":
-            p = sum(t.predict_proba(X[300:]) for t in rf.trees_)
-            expected = rf.classes_[np.argmax(p, axis=1)]
+            expected = rf.classes_[np.argmax(total, axis=1)]
             np.testing.assert_array_equal(rf.predict(X[300:]), expected)
         else:
-            expected = np.mean([t.predict(X[300:]) for t in rf.trees_], axis=0)
-            np.testing.assert_allclose(rf.predict(X[300:]), expected, rtol=1e-12)
-
-    def test_tree_on_codes_equals_tree_on_raw(self, clf_data):
-        X, y = clf_data
-        edges = bin_features(X)
-        a = DecisionTree("C", seed=5, max_features=2).fit(X, y)
-        b = DecisionTree("C", seed=5, max_features=2).fit(
-            apply_bins(X, edges), y, edges=edges, classes=np.unique(y)
-        )
-        for attr in ("feature_", "threshold_", "left_", "right_", "value_"):
-            np.testing.assert_array_equal(getattr(a, attr), getattr(b, attr))
+            np.testing.assert_allclose(rf.predict(X[300:]), total / len(rf.trees_), rtol=1e-12)
 
     def test_wide_frontier_codes_do_not_overflow(self):
         """Histogram cells reach n_bins x nodes x candidates, far past 255;
@@ -308,13 +389,14 @@ class TestLevelWiseTree:
         edges = bin_features(X)
         codes = apply_bins(X, edges)
         kw = dict(task="C", max_depth=7, min_leaf=1, max_features=None, seed=0)
-        a = DecisionTree(**kw).fit(codes, y, edges=edges)
-        b = DecisionTree(**kw).fit(codes.astype(np.int64), y, edges=edges)
+        classes = np.unique(y)
+        a = DecisionTree(**kw).fit(codes, y, edges, classes)
+        b = DecisionTree(**kw).fit(codes.astype(np.int64), y, edges, classes)
         widths = np.bincount(_node_depths(a)[a.feature_ >= 0])
         assert widths.max() * X.shape[1] > 255  # some level split > 6 nodes
         for attr in ("feature_", "threshold_", "left_", "right_", "value_"):
             np.testing.assert_array_equal(getattr(a, attr), getattr(b, attr))
-        assert (a.predict(X) == y).mean() > 0.85
+        assert (_predict(a, codes) == y).mean() > 0.85
 
 
 def _reference_cv(X, y, task, k=3, n_trees=8, seed=0):
