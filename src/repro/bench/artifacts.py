@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import pickle
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from .harness import METHODS, run_grid, train_fpe_models
+
+if TYPE_CHECKING:
+    from pyspark.sql import SparkSession
 
 __all__ = ["RESULTS_DIR", "get_fpe_models", "get_grid"]
 

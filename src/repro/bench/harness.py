@@ -10,11 +10,10 @@ inside the same task so feature matrices never cross the wire.
 """
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from ..baselines.autofs import run_autofs_r
 from ..baselines.nfs import run_nfs
@@ -31,6 +30,9 @@ from ..ml.mlp import MLP
 from ..ml.naive_bayes import GaussianNB
 from ..synth_data import fpe_corpus
 from .datasets import ROSTER, DatasetSpec, by_name, load_dataset
+
+if TYPE_CHECKING:
+    from pyspark.sql import SparkSession
 
 __all__ = [
     "METHODS",

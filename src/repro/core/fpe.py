@@ -25,10 +25,10 @@ auto-sklearn, i.e. the model family is free).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from ..fanout import fan_out
 from ..hashing.minhash import select_indices
@@ -36,6 +36,9 @@ from ..ml.forest import BinnedFolds, cross_val_score
 from ..ml.metrics import precision_recall
 from ..ml.mlp import MLP
 from ..ml.tree import finite
+
+if TYPE_CHECKING:
+    from pyspark.sql import SparkSession
 
 __all__ = ["feature_signature", "label_corpus", "FPEModel"]
 

@@ -7,10 +7,12 @@ keeps the makespan short. The items ride the closure.
 """
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import pandas as pd
-from pyspark.sql import SparkSession
+
+if TYPE_CHECKING:
+    from pyspark.sql import SparkSession
 
 
 def fan_out(spark: SparkSession, items: Sequence, fn: Callable, schema: str) -> pd.DataFrame:

@@ -1,8 +1,8 @@
 """DuckDB correctness oracle for the features every method scores.
 
 ``spec_sql(spec, cols, table)`` renders a :class:`FeatureSpec` as a
-DuckDB SQL expression over the columns ``cols`` of ``table``: an
-independent re-implementation of ``numpy_op`` (``core/operators.py``).
+DuckDB query over the columns ``cols`` of ``table``: an independent
+re-implementation of ``numpy_op`` (``core/operators.py``).
 ``assert_equivalent(got, sql, **tables)`` runs ``sql`` in DuckDB over
 the pandas ``tables`` and asserts its rows equal those of the pandas
 frame ``got``, for example the output of ``numpy_op``, ``to_numpy`` or
@@ -27,29 +27,49 @@ TOL = 1e-9
 
 
 def spec_sql(spec: FeatureSpec, cols: list[str], table: str) -> str:
-    """DuckDB expression for ``spec``; leaf ``i`` is column ``cols[i]``.
+    """DuckDB query over ``table``: its rows, with all of its columns plus
+    ``spec``'s value as column ``value``; leaf ``i`` is column ``cols[i]``.
 
-    ``minmax`` reads its column's min and max through uncorrelated scalar
-    subqueries over ``table``, so it composes anywhere in an expression,
+    Each inner node is rendered once, children first, as the column
+    ``_v<k>`` that the CTE ``_n<k>`` adds to the rows of the one before
+    it, so every operator reads its inputs by name and the text grows
+    linearly in the number of nodes. ``minmax`` reads its column's min and
+    max as ``OVER ()`` aggregates over all rows, so it composes anywhere,
     inside another ``minmax`` too.
     """
-    if spec.is_leaf:
-        return f'"{cols[spec.index]}"'
-    op = spec.op
-    a = spec_sql(spec.left, cols, table)
+    steps: list[str] = []
+
+    def column(node: FeatureSpec) -> str:
+        if node.is_leaf:
+            return f'"{cols[node.index]}"'
+        a = column(node.left)
+        b = None if node.right is None else column(node.right)
+        steps.append(_node_sql(node.op, a, b))
+        return f"_v{len(steps)}"
+
+    out = column(spec)
+    if not steps:
+        return f"SELECT *, {out} AS value FROM {table}"
+    ctes = ", ".join(
+        f"_n{k} AS (SELECT *, {e} AS _v{k} FROM {table if k == 1 else f'_n{k - 1}'})"
+        for k, e in enumerate(steps, 1)
+    )
+    return f"WITH {ctes} SELECT *, {out} AS value FROM _n{len(steps)}"
+
+
+def _node_sql(op: str, a: str, b: str | None) -> str:
+    """One operator over the columns ``a`` (and ``b``)."""
     if op == "log":
         return f"ln(abs({a}) + 1.0)"
     if op == "minmax":
-        lo = f"(SELECT min({a}) FROM {table})"
-        hi = f"(SELECT max({a}) FROM {table})"
+        lo, hi = f"min({a}) OVER ()", f"max({a}) OVER ()"
         return f"(CASE WHEN {hi} > {lo} THEN ({a} - {lo}) / ({hi} - {lo}) ELSE 0.0 END)"
     if op == "sqrt":
         return f"sqrt(abs({a}))"
     if op == "reciprocal":
         return f"(CASE WHEN {a} <> 0 THEN 1.0 / {a} ELSE 0.0 END)"
-    if spec.right is None:
+    if b is None:
         raise ValueError(f"binary operator {op!r} needs two inputs")
-    b = spec_sql(spec.right, cols, table)
     if op == "add":
         return f"({a} + {b})"
     if op == "sub":
@@ -94,14 +114,12 @@ def assert_equivalent(got: pd.DataFrame, sql: str, **tables: pd.DataFrame) -> No
 
 def assert_features_match(X: np.ndarray, specs: list[FeatureSpec], values: np.ndarray) -> None:
     """Assert that column ``j`` of ``values`` is ``specs[j]`` over the
-    columns of ``X``, row for row, as DuckDB computes it.
-
-    One query per spec: DuckDB's planning time grows faster than linearly
-    in the number of ``minmax`` subqueries in one query.
+    columns of ``X``, row for row, as DuckDB computes it, one query per
+    spec.
     """
     cols = [f"c{i}" for i in range(X.shape[1])]
     rid = np.arange(len(X))
     t = pd.DataFrame(X, columns=cols).assign(rid=rid)
     for spec, v in zip(specs, np.reshape(values, (len(X), len(specs))).T, strict=True):
         got = pd.DataFrame({"rid": rid, "g": v})
-        assert_equivalent(got, f"SELECT rid, {spec_sql(spec, cols, 't')} AS g FROM t", t=t)
+        assert_equivalent(got, f"SELECT rid, value AS g FROM ({spec_sql(spec, cols, 't')})", t=t)

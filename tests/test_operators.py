@@ -106,11 +106,15 @@ def test_all_ops_enumeration():
 
 
 def test_feature_modules_import_without_pyspark():
-    """Spark only fans work out: the operators, the spec trees and the
-    oracle that checks them load with no ``pyspark`` at all."""
+    """Spark only fans work out, and ``repro.bench.session`` owns it: every
+    other module (the engine, the baselines, the FPE, the fan-out and the
+    harness that drive a session they are given, the oracle) loads with no
+    ``pyspark`` at all."""
     code = (
-        "import sys; sys.modules['pyspark'] = None; "
-        "import repro.core.operators, repro.core.transform, repro.oracle"
+        "import importlib, pkgutil, sys; sys.modules['pyspark'] = None; import repro; "
+        "names = [m.name for m in pkgutil.walk_packages(repro.__path__, 'repro.')]; "
+        "assert 'repro.core.fpe' in names and 'repro.bench.session' in names, names; "
+        "[importlib.import_module(n) for n in names if n != 'repro.bench.session']"
     )
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(repro.__file__))}
     proc = subprocess.run(

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.fpe import _random_spec
 from repro.core.transform import apply_op, is_usable, leaf, parse_spec
-from repro.oracle import assert_features_match
+from repro.oracle import assert_features_match, spec_sql
 
 
 @pytest.fixture(scope="module")
@@ -155,3 +155,17 @@ class TestDuckDBOracle:
         values = np.column_stack([s.to_numpy(X) for s in specs])
         assert np.isfinite(values).all()
         assert_features_match(X, specs, values)
+
+    def test_sql_grows_linearly_in_nesting(self):
+        """Each node is rendered once: every level of nested ``minmax``
+        (which reads its input six times) or ``reciprocal`` (twice) adds
+        the same text, where writing the input out in place at each read
+        multiplies the text per level."""
+        for op in ("minmax", "reciprocal"):
+            spec, lengths = leaf(0), []
+            for _ in range(8):
+                spec = apply_op(op, spec)
+                lengths.append(len(spec_sql(spec, ["c0"], "t")))
+            steps = np.diff(lengths)
+            assert (steps == steps[0]).all(), (op, lengths)
+            assert lengths[-1] < 8 * lengths[0], (op, lengths)
