@@ -10,7 +10,7 @@ greedy forward selection in place of AutoFS's multi-agent RL selection.
 The pooled features are visited once each, in random order; each visit
 scores the state with the feature added, one downstream evaluation
 (Table IV counts), and the feature joins the state when its gain
-exceeds ``accept_margin``.
+exceeds ``ACCEPT_MARGIN`` (``FeatureState.accepts``).
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from ..core.eafe import AFEConfig, AFEResult, FeatureState
+from ..core.eafe import MAX_ORDER, AFEConfig, AFEResult, FeatureState
 from ..core.operators import ALL_OPS, BINARY_OPS
 from ..core.transform import apply_op, is_usable, leaf
 # Scoring goes through FeatureState; this binding stays importable because
@@ -63,7 +63,7 @@ def run_autofs_r(
     # Random generation, same budget as the RL methods' formal step count.
     n_pool = cfg.max_agents * cfg.steps_per_agent * cfg.epochs_stage2
     t0 = time.perf_counter()
-    pool = [(s, s.to_numpy(Xk)) for s in random_pool(Xk, n_pool, cfg.max_order, rng)]
+    pool = [(s, s.to_numpy(Xk)) for s in random_pool(Xk, n_pool, MAX_ORDER, rng)]
     usable = [is_usable(v) for _, v in pool]
     res.gen_time += time.perf_counter() - t0
     res.n_generated = sum(usable)
@@ -73,7 +73,7 @@ def run_autofs_r(
             continue
         spec, values = pool[idx]
         s = state.evaluate(values)
-        if s - state.score > cfg.accept_margin:
+        if state.accepts(s):
             state.add(spec, values, s)
         res.history.append(res.best_score)
         if state.full:

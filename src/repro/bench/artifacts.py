@@ -23,39 +23,27 @@ __all__ = ["RESULTS_DIR", "get_fpe_models", "get_grid"]
 RESULTS_DIR = Path(__file__).resolve().parents[3] / "results"
 
 
-def get_fpe_models(spark: SparkSession, refresh: bool = False, **kw):
+def get_fpe_models(spark: SparkSession, refresh: bool = False):
     """Trained FPE models per hash family, cached as a pickle."""
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / "fpe_models.pkl"
     if path.exists() and not refresh:
         with open(path, "rb") as f:
             return pickle.load(f)
-    models = train_fpe_models(spark, **kw)
+    models = train_fpe_models(spark)
     with open(path, "wb") as f:
         pickle.dump(models, f)
     return models
 
 
-def get_grid(
-    spark: SparkSession,
-    refresh: bool = False,
-    methods: list[str] | None = None,
-    datasets: list[str] | None = None,
-    seed: int = 0,
-) -> pd.DataFrame:
-    """The full evaluation grid, cached as CSV."""
+def get_grid(spark: SparkSession, refresh: bool = False) -> pd.DataFrame:
+    """The full evaluation grid (every method on every roster dataset,
+    seed 0), cached as CSV."""
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / "grid.csv"
     if path.exists() and not refresh:
         return pd.read_csv(path)
     fpe = get_fpe_models(spark, refresh=refresh)
-    grid = run_grid(
-        spark,
-        methods or list(METHODS),
-        fpe,
-        datasets=datasets,
-        seed=seed,
-        with_replacement_models=True,
-    )
+    grid = run_grid(spark, list(METHODS), fpe, with_replacement_models=True)
     grid.to_csv(path, index=False)
     return grid

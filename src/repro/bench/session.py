@@ -60,6 +60,8 @@ def host_driver_mem() -> tuple[str, str]:
 
 
 def get_spark(app_name: str = "repro-job") -> SparkSession:
+    """The session, with Arrow on for ``fan_out``'s ``toPandas``. It sets
+    no shuffle or join setting: ``fan_out`` neither shuffles nor joins."""
     # The JVM reads PYSPARK_SUBMIT_ARGS when it starts, in getOrCreate.
     if "PYSPARK_SUBMIT_ARGS" not in os.environ:
         os.environ["PYSPARK_SUBMIT_ARGS"] = (
@@ -71,9 +73,7 @@ def get_spark(app_name: str = "repro-job") -> SparkSession:
         )
     s = (
         SparkSession.builder.appName(app_name)
-        .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )
     s.sparkContext.setLogLevel("ERROR")

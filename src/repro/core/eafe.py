@@ -70,6 +70,14 @@ STAGE2_QUANTILE = (1.0 - GATE_KEEP) ** (1.0 / PROPOSALS)
 # Discount (Eq. 9) and λ (Eq. 10) of the policy-gradient returns.
 GAMMA = 0.9
 LAM = 0.8
+# Highest order (operator nesting depth) of a generated feature.
+MAX_ORDER = 5
+# Accepted features the state holds at most.
+MAX_STATE_FEATURES = 24
+# In-loop acceptance margin: a candidate joins the state only if its
+# measured gain exceeds this, guarding against CV noise (the k=3 6-tree
+# evaluations have ~0.01 std) polluting the selected set.
+ACCEPT_MARGIN = 0.005
 
 
 @dataclass
@@ -78,7 +86,9 @@ class AFEConfig:
 
     The paper trains 200 epochs per stage on full datasets; the scaled
     defaults keep every mechanism while fitting the repo's time budget
-    (DESIGN.md §3). ``steps_per_agent`` is the paper's T.
+    (DESIGN.md §3). ``steps_per_agent`` is the paper's T. The maximum
+    order, the state's capacity and the acceptance margin are the module
+    constants ``MAX_ORDER``, ``MAX_STATE_FEATURES`` and ``ACCEPT_MARGIN``.
 
     A method is its ``gate`` and ``two_stage``. ``gate`` is what stands
     between a generated candidate and the downstream evaluation: the FPE
@@ -90,9 +100,7 @@ class AFEConfig:
     epochs_stage1: int = 3
     epochs_stage2: int = 7
     steps_per_agent: int = 4
-    max_order: int = 5
     max_agents: int = 10
-    max_state_features: int = 24
     gate: str = "fpe"
     two_stage: bool = True
     cv_k: int = 3
@@ -103,10 +111,6 @@ class AFEConfig:
     # method runs the most noisy evaluations).
     final_cv_k: int = 5
     final_cv_trees: int = 12
-    # In-loop acceptance margin: a candidate joins the state only if its
-    # measured gain exceeds this, guarding against CV noise (the k=3
-    # 6-tree evaluations have ~0.01 std) polluting the selected set.
-    accept_margin: float = 0.005
     seed: int = 0
 
 
@@ -155,9 +159,10 @@ class FeatureState:
     and every evaluation are timed into ``res.eval_time``. ``add`` accepts
     a candidate ``(spec, values)`` at the score that ``evaluate`` gave it,
     so ``score`` is always the matrix's own score, and tracks
-    ``res.best_score``. The state holds at most ``cfg.max_state_features``
-    accepted features. ``report`` ends the run under the final-report
-    protocol.
+    ``res.best_score``. ``accepts`` is the one acceptance rule: the gain
+    clears ``ACCEPT_MARGIN`` and the state holds fewer than
+    ``MAX_STATE_FEATURES`` accepted features. ``report`` ends the run
+    under the final-report protocol.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, task: str, cfg: AFEConfig):
@@ -182,7 +187,7 @@ class FeatureState:
 
     @property
     def full(self) -> bool:
-        return len(self.features) >= self.cfg.max_state_features
+        return len(self.features) >= MAX_STATE_FEATURES
 
     @property
     def specs(self) -> list[FeatureSpec]:
@@ -196,9 +201,14 @@ class FeatureState:
         self.res.n_evaluated += 1
         return s
 
+    def accepts(self, score: float) -> bool:
+        """Whether a candidate that ``evaluate`` scored ``score`` joins the
+        state: its gain clears ``ACCEPT_MARGIN`` and the state has room."""
+        return score - self.score > ACCEPT_MARGIN and not self.full
+
     def add(self, spec: FeatureSpec, values: np.ndarray, score: float) -> None:
         if self.full:
-            raise ValueError("the state holds max_state_features columns already")
+            raise ValueError("the state holds MAX_STATE_FEATURES columns already")
         self.binned = self.binned.append(values)
         self.features.append((spec, values))
         self.score = score
@@ -285,7 +295,7 @@ class _Engine:
         s1, v1 = first or sub[self.rng.integers(0, len(sub))]
         s2, v2 = sub[self.rng.integers(0, len(sub))]
         spec = apply_op(op, s1, s2) if op in BINARY_OPS else apply_op(op, s1)
-        if spec.order > self.cfg.max_order or (self.unique and spec.name in self.seen):
+        if spec.order > MAX_ORDER or (self.unique and spec.name in self.seen):
             return None
         self.seen.add(spec.name)
         values = numpy_op(op, v1, v2)
@@ -414,15 +424,9 @@ class _Engine:
                         rewards.append(self._pseudo(p, cur) - cur)
                         continue
                     s = self.state.evaluate(values)
-                    gain = s - self.state.score
-                    rewards.append(gain)
-                    # A full state accepts nothing more; a re-generated
-                    # spec (gate "none") is already in the state.
-                    if (
-                        gain > cfg.accept_margin
-                        and not self.state.full
-                        and spec not in self.state.specs
-                    ):
+                    rewards.append(s - self.state.score)
+                    # A re-generated spec (gate "none") is already in the state.
+                    if self.state.accepts(s) and spec not in self.state.specs:
                         self.state.add(spec, values, s)
                         self.subgroups[min(spec.leaves())].append((spec, values))
                 u = discounted_returns(

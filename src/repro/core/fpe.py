@@ -137,6 +137,10 @@ _LABEL_SCHEMA = (
 )
 
 
+# Random candidates labelled per corpus dataset ('gen' rows).
+GENERATED_PER_DATASET = 25
+
+
 def _random_spec(n_cols: int, max_order: int, rng: np.random.Generator):
     """A uniformly random transformation spec over ``n_cols`` columns —
     used to extend the labeling corpus with *generated* candidates, the
@@ -155,9 +159,7 @@ def _random_spec(n_cols: int, max_order: int, rng: np.random.Generator):
     return spec
 
 
-def _label_one_dataset(
-    entry: dict, thre: float, cv_cfg: dict, n_generated: int = 25
-) -> pd.DataFrame:
+def _label_one_dataset(entry: dict, thre: float, cv_cfg: dict) -> pd.DataFrame:
     """Labeling rows for one corpus dataset (runs on a worker).
 
     Two kinds of rows: Eq. 3's leave-one-feature-out labels for the
@@ -193,7 +195,7 @@ def _label_one_dataset(
     rng = np.random.default_rng(zlib.crc32(entry["name"].encode()))
     made = 0
     attempts = 0
-    while made < n_generated and attempts < n_generated * 10:
+    while made < GENERATED_PER_DATASET and attempts < GENERATED_PER_DATASET * 10:
         attempts += 1
         spec = _random_spec(X.shape[1], max_order=3, rng=rng)
         v = spec.to_numpy(X)

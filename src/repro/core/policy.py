@@ -26,6 +26,11 @@ __all__ = ["STATE_DIM", "AgentPolicy", "state_embedding"]
 
 STATE_DIM = 8
 _N_ACTIONS = len(ALL_OPS)
+# RNN width, Adam step size, L2 weight decay and entropy bonus (Eq. 1).
+HIDDEN = 16
+LR = 0.01
+L2 = 1e-4
+ENTROPY_COEF = 0.01
 
 
 def state_embedding(values: np.ndarray, subgroup_size: int, t: int) -> np.ndarray:
@@ -54,38 +59,25 @@ def state_embedding(values: np.ndarray, subgroup_size: int, t: int) -> np.ndarra
 
 
 class AgentPolicy:
-    """One feature-agent: tanh RNN cell -> softmax over the 9 operators."""
+    """One feature-agent: tanh RNN cell -> softmax over the 9 operators.
 
-    def __init__(
-        self,
-        hidden: int = 16,
-        lr: float = 0.01,
-        l2: float = 1e-4,
-        entropy_coef: float = 0.01,
-        seed: int = 0,
-    ):
+    The hidden state ``h`` starts at zero and is never reset: it carries
+    over from episode to episode, and from stage 1 into stage 2."""
+
+    def __init__(self, seed: int = 0):
         g = np.random.default_rng(seed)
-        self.hidden = hidden
-        self.l2 = l2
-        self.entropy_coef = entropy_coef
-        s = 1.0 / np.sqrt(hidden)
-        self.Wx = g.normal(scale=s, size=(STATE_DIM, hidden))
-        self.Wh = g.normal(scale=s, size=(hidden, hidden))
-        self.bh = np.zeros(hidden)
-        self.Wo = g.normal(scale=s, size=(hidden, _N_ACTIONS))
+        s = 1.0 / np.sqrt(HIDDEN)
+        self.Wx = g.normal(scale=s, size=(STATE_DIM, HIDDEN))
+        self.Wh = g.normal(scale=s, size=(HIDDEN, HIDDEN))
+        self.bh = np.zeros(HIDDEN)
+        self.Wo = g.normal(scale=s, size=(HIDDEN, _N_ACTIONS))
         self.bo = np.zeros(_N_ACTIONS)
-        self.h = np.zeros(hidden)
+        self.h = np.zeros(HIDDEN)
         self._rng = g
-        self._opt = Adam(self._params(), lr)
+        self._opt = Adam(self._params(), LR)
 
     def _params(self) -> dict[str, np.ndarray]:
         return {"Wx": self.Wx, "Wh": self.Wh, "bh": self.bh, "Wo": self.Wo, "bo": self.bo}
-
-    def reset(self) -> None:
-        """Reset the recurrent state (start of an episode). The paper's
-        first round uses a uniform action distribution — a zero hidden
-        state with zero-mean output weights approximates that."""
-        self.h = np.zeros(self.hidden)
 
     def probs(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
         """Advance the RNN one step; return action distribution + cache."""
@@ -110,8 +102,8 @@ class AgentPolicy:
     def update(self, steps: list[tuple[dict, float]]) -> None:
         """REINFORCE over an episode: ``steps`` is [(cache, return)].
 
-        Maximizes sum_t log pi(a_t) * U_t + entropy_coef * H(pi_t)
-        - l2 * ||theta||^2 via one Adam step on the summed gradient.
+        Maximizes sum_t log pi(a_t) * U_t + ENTROPY_COEF * H(pi_t)
+        - L2 * ||theta||^2 via one Adam step on the summed gradient.
         A mean-return baseline reduces variance without a critic.
         """
         if not steps:
@@ -134,7 +126,7 @@ class AgentPolicy:
             dlogits = adv * (onehot - p)
             logp = np.log(np.maximum(p, 1e-12))
             ent_grad = -p * (logp - np.dot(p, logp))
-            dlogits += self.entropy_coef * ent_grad
+            dlogits += ENTROPY_COEF * ent_grad
             grads["Wo"] += np.outer(h, dlogits)
             grads["bo"] += dlogits
             dh = self.Wo @ dlogits
@@ -142,5 +134,5 @@ class AgentPolicy:
             grads["Wx"] += np.outer(x, dpre)
             grads["Wh"] += np.outer(h_prev, dpre)
             grads["bh"] += dpre
-        # Descent on the negated ascent gradient, which includes -l2*theta.
-        self._opt.step({k: self.l2 * theta - grads[k] for k, theta in self._params().items()})
+        # Descent on the negated ascent gradient, which includes -L2*theta.
+        self._opt.step({k: L2 * theta - grads[k] for k, theta in self._params().items()})

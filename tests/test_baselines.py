@@ -9,6 +9,7 @@ from repro.baselines.nfs import nfs_config, run_nfs
 from repro.baselines.rtdl import run_dl_fe, run_fe_dl, run_rtdl_n, split_indices
 from repro.bench.datasets import by_name, load_dataset
 from repro.bench.harness import METHODS
+from repro.core import eafe
 from repro.core.eafe import AFEConfig, _Engine, build_feature_matrix, run_afe
 from repro.core.transform import FeatureSpec, leaf
 from repro.synth_data import make_tabular
@@ -32,10 +33,9 @@ class TestNFSConfig:
 
     def test_budget_carried_over(self):
         base = AFEConfig(
-            epochs_stage1=2, epochs_stage2=3, steps_per_agent=5, max_order=4,
-            max_agents=6, max_state_features=12,
+            epochs_stage1=2, epochs_stage2=3, steps_per_agent=5, max_agents=6,
             gate="dropout", two_stage=False, cv_k=4, cv_trees=5,
-            final_cv_k=3, final_cv_trees=2, accept_margin=0.01, seed=7,
+            final_cv_k=3, final_cv_trees=2, seed=7,
         )
         assert all(getattr(base, f.name) != f.default for f in fields(AFEConfig))
         c = nfs_config(base)
@@ -172,7 +172,7 @@ class TestOneRecord:
     def test_values_are_the_specs_columns(self, run, data, fpe, monkeypatch):
         X, y, task = _degenerate_inputs()["nan_inf"] if run.endswith("nan_inf") else (*data, "C")
         cfg = {"E-AFE_D": replace(TINY, gate="dropout"), "NFS": nfs_config(TINY)}.get(run, TINY)
-        cfg = replace(cfg, accept_margin=-1.0)
+        monkeypatch.setattr(eafe, "ACCEPT_MARGIN", -1.0)
         eng = _Engine(X, y, task, fpe if cfg.gate == "fpe" else None, cfg)
 
         def no_spec_evaluation(*_):
@@ -223,10 +223,12 @@ class TestAutoFSR:
         assert r.n_evaluated <= r.n_generated
         assert r.n_evaluated >= r.n_generated * 0.5
 
-    def test_history_has_every_evaluation(self, data):
+    def test_history_has_every_evaluation(self, data, monkeypatch):
         """One history entry per evaluation, also the one that fills the state."""
         X, y = data
-        r = run_autofs_r(X, y, "C", replace(TINY, max_state_features=1, accept_margin=-1.0))
+        monkeypatch.setattr(eafe, "MAX_STATE_FEATURES", 1)
+        monkeypatch.setattr(eafe, "ACCEPT_MARGIN", -1.0)
+        r = run_autofs_r(X, y, "C", TINY)
         assert len(r.history) == r.n_evaluated
 
     def test_selected_specs_buildable(self, data):

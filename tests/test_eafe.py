@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.core import eafe
 from repro.core.eafe import (
     AFEConfig,
     _Engine,
@@ -93,9 +94,10 @@ class TestEAFERun:
         assert r.gen_time + r.eval_time <= r.total_time
         assert r.eval_time > r.gen_time  # the paper's core observation
 
-    def test_max_order_respected(self, data, fpe):
+    def test_max_order_respected(self, data, fpe, monkeypatch):
         X, y = data
-        r = run_afe(X, y, "C", fpe, replace(TINY, max_order=2, epochs_stage2=3))
+        monkeypatch.setattr(eafe, "MAX_ORDER", 2)
+        r = run_afe(X, y, "C", fpe, replace(TINY, epochs_stage2=3))
         from repro.core.transform import parse_spec
 
         for name in r.feature_names:
@@ -104,13 +106,14 @@ class TestEAFERun:
 
 class TestStateInvariants:
     @pytest.mark.parametrize("unique", [True, False])
-    def test_full_state_accepts_nothing_more(self, data, unique):
+    def test_full_state_accepts_nothing_more(self, data, unique, monkeypatch):
         """With every gain accepted and room for one column, the state keeps
         the first accepted column, and its score is that matrix's score.
         Re-generated specs are rejected under every gate but "none"."""
         X, y = data
-        cfg = replace(TINY, gate="dropout" if unique else "none", two_stage=False,
-                      max_state_features=1, accept_margin=-1.0)
+        monkeypatch.setattr(eafe, "MAX_STATE_FEATURES", 1)
+        monkeypatch.setattr(eafe, "ACCEPT_MARGIN", -1.0)
+        cfg = replace(TINY, gate="dropout" if unique else "none", two_stage=False)
         eng = _Engine(X, y, "C", None, cfg)
         assert eng.unique == unique
         eng.stage2()

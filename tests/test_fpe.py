@@ -3,6 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+import repro.core.fpe as fpe_mod
 from repro.core.fpe import (
     FPEModel,
     _corr_pairs,
@@ -182,28 +183,31 @@ class TestRandomSpec:
 
 
 class TestLabeling:
-    def test_label_one_dataset_rows(self, tiny_corpus):
+    def test_label_one_dataset_rows(self, tiny_corpus, monkeypatch):
+        monkeypatch.setattr(fpe_mod, "GENERATED_PER_DATASET", 5)
         e = tiny_corpus[0]
-        df = _label_one_dataset(e, thre=0.01, cv_cfg={"k": 3, "n_trees": 4}, n_generated=5)
+        df = _label_one_dataset(e, thre=0.01, cv_cfg={"k": 3, "n_trees": 4})
         n_orig = e["X"].shape[1]
         assert (df["kind"] == "orig").sum() == n_orig
         assert (df["kind"] == "gen").sum() == 5
         assert set(df["label"]) <= {0, 1}
 
-    def test_label_rule_matches_gain(self, tiny_corpus):
+    def test_label_rule_matches_gain(self, tiny_corpus, monkeypatch):
+        monkeypatch.setattr(fpe_mod, "GENERATED_PER_DATASET", 3)
         e = tiny_corpus[0]
-        df = _label_one_dataset(e, thre=0.01, cv_cfg={"k": 3, "n_trees": 4}, n_generated=3)
+        df = _label_one_dataset(e, thre=0.01, cv_cfg={"k": 3, "n_trees": 4})
         assert ((df["gain"] > 0.01) == (df["label"] == 1)).all()
 
-    def test_rows_equal_scoring_raw_matrices(self, tiny_corpus):
+    def test_rows_equal_scoring_raw_matrices(self, tiny_corpus, monkeypatch):
         """Eq. 3's scores, computed on the raw matrices: A_0 on X, A_j on X
         without column j, A_+j on X with the candidate appended."""
         from repro.core.transform import parse_spec
         from repro.ml.forest import cross_val_score
 
+        monkeypatch.setattr(fpe_mod, "GENERATED_PER_DATASET", 4)
         cv_cfg = {"k": 3, "n_trees": 4, "seed": 2}
         for e in tiny_corpus[:2]:
-            df = _label_one_dataset(e, 0.01, cv_cfg, n_generated=4)
+            df = _label_one_dataset(e, 0.01, cv_cfg)
             X = e["X"].values.astype(np.float64)
             y = np.asarray(e["y"])
             a0 = cross_val_score(X, y, e["task"], **cv_cfg)
@@ -253,7 +257,6 @@ class TestFPEModel:
     def test_no_positives_raises_before_signatures(self, tiny_corpus, labels, monkeypatch):
         """A split side with no positive label fails the search before any
         signature is built, whatever ``d_options`` holds."""
-        import repro.core.fpe as fpe_mod
 
         calls = []
         monkeypatch.setattr(

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.core import policy
 from repro.core.policy import AgentPolicy, state_embedding
 from repro.ml.gp import GPRegressor
 from repro.ml.linear import LinearSVM, standardize_apply, standardize_fit
@@ -222,11 +223,12 @@ class TestGoldenOutputs:
             [0.1314721300928688, -0.4463350989368491, -0.9883896390424444],
         ]
 
-    def test_agent_policy(self):
-        a = AgentPolicy(hidden=3, seed=4)
+    def test_agent_policy(self, monkeypatch):
+        monkeypatch.setattr(policy, "HIDDEN", 3)
+        a = AgentPolicy(seed=4)
         rng = np.random.default_rng(5)
         for _ in range(3):
-            a.reset()
+            a.h = np.zeros_like(a.h)
             steps = []
             for t in range(4):
                 _, cache = a.act(state_embedding(rng.normal(size=20), 3, t))

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.core import policy
 from repro.core.operators import ALL_OPS
 from repro.core.policy import STATE_DIM, AgentPolicy, state_embedding
 from repro.core.rewards import discounted_returns, pseudo_score
@@ -90,7 +91,6 @@ class TestAgentPolicy:
 
     def test_initial_distribution_near_uniform(self):
         a = AgentPolicy(seed=0)
-        a.reset()
         p, _ = a.probs(np.zeros(STATE_DIM))
         assert p.max() - p.min() < 0.1
 
@@ -100,19 +100,21 @@ class TestAgentPolicy:
         assert 0 <= act < len(ALL_OPS)
         assert cache["a"] == act
 
-    def test_update_reinforces_rewarded_action(self):
-        a = AgentPolicy(seed=2, lr=0.05, entropy_coef=0.0)
+    def test_update_reinforces_rewarded_action(self, monkeypatch):
+        monkeypatch.setattr(policy, "LR", 0.05)
+        monkeypatch.setattr(policy, "ENTROPY_COEF", 0.0)
+        a = AgentPolicy(seed=2)
         x = np.zeros(STATE_DIM)
         target = 3
         for _ in range(60):
-            a.reset()
+            a.h = np.zeros_like(a.h)
             p, cache = a.probs(x)
             cache["a"] = target
             # Hand the agent a positive return for `target`, negative
             # baseline comes from a second step with another action.
             other = {**cache, "a": (target + 1) % len(ALL_OPS)}
             a.update([(cache, 1.0), (other, -1.0)])
-        a.reset()
+        a.h = np.zeros_like(a.h)
         p, _ = a.probs(x)
         assert np.argmax(p) == target
 
@@ -124,7 +126,6 @@ class TestAgentPolicy:
 
     def test_hidden_state_evolves(self):
         a = AgentPolicy(seed=4)
-        a.reset()
         h0 = a.h.copy()
         a.probs(np.ones(STATE_DIM) * 0.3)
         assert not np.allclose(h0, a.h)
