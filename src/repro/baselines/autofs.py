@@ -75,7 +75,6 @@ def run_autofs_r(
         s = state.evaluate(values)
         if state.accepts(s):
             state.add(spec, values, s)
-        res.history.append(res.best_score)
         if state.full:
             break
     return state.report()

@@ -125,9 +125,6 @@ class AFEResult:
     total_time: float = 0.0
     selected_specs: list[FeatureSpec] = field(default_factory=list)
     feature_names: list[str] = field(default_factory=list)
-    # Best score so far, after each epoch (RL methods) or each
-    # evaluation (FS_R).
-    history: list[float] = field(default_factory=list)
     # Original-column indices the run kept (RF-importance pre-selection);
     # selected specs index into X[:, kept_columns].
     kept_columns: np.ndarray | None = None
@@ -245,8 +242,6 @@ class _Engine:
         self.cfg = cfg
         self.fpe = fpe
         self.unique = cfg.gate != "none"  # reject re-generated specs
-        # Candidates built per stage-2 step; the gate sees the top one.
-        self.proposals = PROPOSALS if cfg.gate == "fpe" else 1
         self.rng = np.random.default_rng(cfg.seed)
         self.state = FeatureState(X, y, task, cfg)
         self.res, self.X, self.y = self.state.res, self.state.X, self.state.y
@@ -265,6 +260,8 @@ class _Engine:
         self.replay: list[list[tuple[Feature, float]]] = [[] for _ in range(self.n_agents)]
         self._p_seen: list[float] = []
         self.seen: set[str] = {f"f{i}" for i in range(self.n_agents)}
+        # Epochs run so far, over both stages: the round t of the state.
+        self.epoch = 0
 
     # -- helpers --------------------------------------------------------------
 
@@ -277,7 +274,7 @@ class _Engine:
         t0 = time.perf_counter()
         sub = self.subgroups[agent_idx]
         first = parent or sub[self.rng.integers(0, len(sub))]
-        x_emb = state_embedding(first[1], len(sub), len(self.res.history))
+        x_emb = state_embedding(first[1], len(sub), self.epoch)
         a, cache = self.agents[agent_idx].act(x_emb)
         out = self._build_candidate(agent_idx, ALL_OPS[a], first)
         if out is not None:
@@ -317,22 +314,24 @@ class _Engine:
             return 0.75 if self.rng.random() < DROPOUT_KEEP else 0.25
         return 0.5
 
-    def _propose(self, agent_idx: int, out: Feature, op: str, parent: Feature | None):
-        """Best-of-``self.proposals``: ``out`` plus the same action ``op``
-        on fresh parent samples; returns (spec, values, p) for the proposal
-        with the highest gate probability."""
+    def _propose(
+        self, agent_idx: int, out: Feature, op: str, parent: Feature | None, width: int
+    ) -> tuple[Feature, float]:
+        """Best-of-``width``: ``out`` plus the same action ``op`` on fresh
+        parent samples; returns the proposal with the highest gate
+        probability, and that probability."""
         cands = [out]
         t0 = time.perf_counter()
-        for _ in range(self.proposals - 1):
+        for _ in range(width - 1):
             extra = self._build_candidate(agent_idx, op, parent)
             if extra is not None:
                 cands.append(extra)
         self.res.gen_time += time.perf_counter() - t0
         ps = [self._p(v) for _, v in cands]
         j = int(np.argmax(ps))
-        return *cands[j], ps[j]
+        return cands[j], ps[j]
 
-    def _gate(self, quantile: float = 0.5) -> float:
+    def _gate(self, quantile: float) -> float:
         """Gate threshold: a candidate is kept iff its p is at or above it.
 
         The ``quantile`` of the FPE probabilities seen in *this* run (0.5
@@ -352,88 +351,81 @@ class _Engine:
             return pseudo_score(p, a)
         return pseudo_score(p, a, self.fpe.d_a_max, self.fpe.d_a_min, self.fpe.thre)
 
-    def _update(self, agent_idx: int, caches: list[dict], u: np.ndarray) -> None:
-        self.agents[agent_idx].update([(c, float(u[k])) for k, c in enumerate(caches)])
+    # -- one agent's episode ----------------------------------------------------
+
+    def _episode(self, i: int, stage: int) -> None:
+        """Agent ``i``'s episode in ``stage`` 1 or 2 (Alg. 2): ``steps_per_agent``
+        actions, then one REINFORCE update on their discounted returns.
+
+        Stage 1 makes no downstream evaluation: the reward is the change
+        of Eq. 8's pseudo-score from the step before, and a kept candidate
+        joins the agent's replay buffer and subgroup. Stage 2 seeds half
+        its steps from the replay buffer (so that a small buffer does not
+        re-derive the same compositions every epoch), gates the top of
+        ``PROPOSALS`` candidates under the FPE gate, and rewards the gain
+        over the state's score of the candidate's downstream score if kept
+        (then offered to the state) or of its pseudo-score if dropped. An
+        unusable candidate earns 0. Stage 2 of a two-stage run discounts
+        at γλ (Eq. 10), every other episode at γ (Eq. 9)."""
+        cfg, state, replay = self.cfg, self.state, self.replay[i]
+        formal = stage == 2  # stage 2: formal training
+        width = PROPOSALS if formal and cfg.gate == "fpe" else 1
+        caches: list[dict] = []
+        rewards: list[float] = []
+        prev = self.base_score
+        for _ in range(cfg.steps_per_agent):
+            parent = None
+            if formal and replay and self.rng.random() < 0.5:
+                parent = replay[self.rng.integers(0, len(replay))][0]
+            out, cache = self._generate(i, parent=parent)
+            caches.append(cache)
+            if out is None:
+                rewards.append(0.0)
+                continue
+            feat, p = self._propose(i, out, ALL_OPS[cache["a"]], parent, width)
+            keep = p >= self._gate(STAGE2_QUANTILE if formal else 0.5)
+            if not formal:
+                a_h = self._pseudo(p, self.base_score)
+                rewards.append(a_h - prev)
+                prev = a_h
+                if keep:
+                    replay.append((feat, p))
+                    self.subgroups[i].append(feat)
+                continue
+            spec, values = feat
+            cur = state.score
+            s = state.evaluate(values) if keep else self._pseudo(p, cur)
+            rewards.append(s - cur)
+            # A re-generated spec (gate "none") is already in the state.
+            if keep and state.accepts(s) and spec not in state.specs:
+                state.add(spec, values, s)
+                self.subgroups[min(spec.leaves())].append(feat)
+        gamma = GAMMA * LAM if formal and cfg.two_stage else GAMMA
+        u = discounted_returns(np.array(rewards), gamma)
+        self.agents[i].update(list(zip(caches, u.tolist())))
 
     # -- stages ----------------------------------------------------------------
 
     def stage1(self):
-        """Quick initialization with the FPE model (Alg. 2 lines 1–14).
-
-        No downstream evaluation at all: the FPE probability becomes a
-        pseudo-score via Eq. 8 and its deltas drive the policy; positive
-        features land in the replay buffer.
-        """
-        cfg = self.cfg
-        for _ in range(cfg.epochs_stage1):
+        """Quick initialization with the FPE model (Alg. 2 lines 1–14):
+        ``epochs_stage1`` epochs of stage-1 episodes, which fill the replay
+        buffer and touch no downstream task."""
+        for _ in range(self.cfg.epochs_stage1):
             for i in range(self.n_agents):
-                caches: list[dict] = []
-                rewards: list[float] = []
-                prev_a = self.base_score
-                for _t in range(cfg.steps_per_agent):
-                    out, cache = self._generate(i)
-                    caches.append(cache)
-                    if out is None:
-                        rewards.append(0.0)
-                        continue
-                    p = self._p(out[1])
-                    keep = p >= self._gate()
-                    a_h = self._pseudo(p, self.base_score)
-                    rewards.append(a_h - prev_a)
-                    prev_a = a_h
-                    if keep:
-                        self.replay[i].append((out, p))
-                        self.subgroups[i].append(out)
-                self._update(i, caches, discounted_returns(np.array(rewards), GAMMA))
-            self.res.history.append(self.res.best_score)
+                self._episode(i, 1)
+            self.epoch += 1
 
     def stage2(self):
-        """Formal training (Alg. 2 lines 15–21), ``epochs_stage2`` epochs —
-        also the whole training loop for the single-stage methods (NFS,
-        E-AFE_R). Two-stage runs update with Eq. 10's λ-returns (returns
-        discounted at γλ), single-stage runs with Eq. 9's (at γ). Each
-        agent's replay buffer is sorted once, highest p first (a stable
-        sort)."""
-        cfg = self.cfg
+        """Formal training (Alg. 2 lines 15–21), ``epochs_stage2`` epochs of
+        stage-2 episodes — also the whole training loop for the
+        single-stage methods (NFS, E-AFE_R). Each agent's replay buffer is
+        sorted once, highest p first (a stable sort)."""
         for buf in self.replay:
             buf.sort(key=lambda fp: -fp[1])
-        for _ in range(cfg.epochs_stage2):
+        for _ in range(self.cfg.epochs_stage2):
             for i in range(self.n_agents):
-                caches: list[dict] = []
-                rewards: list[float] = []
-                parents = self.replay[i]
-                for t in range(cfg.steps_per_agent):
-                    # Seed half the steps from the replay buffer, the rest
-                    # from the live subgroup, to avoid re-deriving the
-                    # same compositions from a small buffer every epoch.
-                    parent = (
-                        parents[self.rng.integers(0, len(parents))][0]
-                        if parents and self.rng.random() < 0.5
-                        else None
-                    )
-                    out, cache = self._generate(i, parent=parent)
-                    caches.append(cache)
-                    if out is None:
-                        rewards.append(0.0)
-                        continue
-                    spec, values, p = self._propose(i, out, ALL_OPS[cache["a"]], parent)
-                    keep = p >= self._gate(STAGE2_QUANTILE)
-                    if not keep:
-                        # Filtered out: reward from the pseudo-score only.
-                        cur = self.state.score
-                        rewards.append(self._pseudo(p, cur) - cur)
-                        continue
-                    s = self.state.evaluate(values)
-                    rewards.append(s - self.state.score)
-                    # A re-generated spec (gate "none") is already in the state.
-                    if self.state.accepts(s) and spec not in self.state.specs:
-                        self.state.add(spec, values, s)
-                        self.subgroups[min(spec.leaves())].append((spec, values))
-                u = discounted_returns(
-                    np.array(rewards), GAMMA * LAM if cfg.two_stage else GAMMA
-                )
-                self._update(i, caches, u)
-            self.res.history.append(self.res.best_score)
+                self._episode(i, 2)
+            self.epoch += 1
 
 
 def final_report(

@@ -114,6 +114,26 @@ class TestGoldenRows:
         assert (r.best_score, r.n_evaluated, r.feature_names) == self.BOSTON[method]
         assert r.base_score == self.BOSTON_BASE_SCORE
 
+    # Two stage-1 epochs of four steps: past the gate quantile's warm-up
+    # (12 FPE probabilities) and over a pseudo-reward chain of 4 steps,
+    # which TINY's one epoch of two steps never reaches.
+    LONG = replace(TINY, epochs_stage1=2, steps_per_agent=4)
+    LABOR_LONG = {
+        "E-AFE": (
+            0.7590368644083815, 10, ["add(div(add(f0,f0),minmax(f0)),minmax(f0))"]
+        ),
+        "E-AFE_D": (0.7733193277310925, 7, ["div(mul(f1,f1),f1)"]),
+    }
+
+    @pytest.mark.parametrize("method", sorted(LABOR_LONG))
+    def test_labor_long_stage1(self, method, fpe):
+        X, y = load_dataset(by_name("labor"))
+        m = METHODS[method]
+        kw = {"fpe": fpe} if m.variant else {}
+        r = m.runner(X.values.astype(np.float64), y, "C", cfg=replace(self.LONG, **m.overrides), **kw)
+        assert (r.best_score, r.n_evaluated, r.feature_names) == self.LABOR_LONG[method]
+        assert r.base_score == self.BASE_SCORE
+
 
 class TestConstantInput:
     """On an all-constant X every candidate is constant too: nothing is
@@ -223,13 +243,14 @@ class TestAutoFSR:
         assert r.n_evaluated <= r.n_generated
         assert r.n_evaluated >= r.n_generated * 0.5
 
-    def test_history_has_every_evaluation(self, data, monkeypatch):
-        """One history entry per evaluation, also the one that fills the state."""
+    def test_full_state_ends_the_loop(self, data, monkeypatch):
+        """The evaluation that fills a one-slot state is the run's last."""
         X, y = data
         monkeypatch.setattr(eafe, "MAX_STATE_FEATURES", 1)
         monkeypatch.setattr(eafe, "ACCEPT_MARGIN", -1.0)
         r = run_autofs_r(X, y, "C", TINY)
-        assert len(r.history) == r.n_evaluated
+        assert r.n_evaluated == 1
+        assert len(r.selected_specs) == 1
 
     def test_selected_specs_buildable(self, data):
         X, y = data

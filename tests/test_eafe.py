@@ -12,6 +12,7 @@ from repro.core.eafe import (
     run_afe,
     select_important_features,
 )
+from repro.core.policy import AgentPolicy
 from repro.ml.forest import cross_val_score
 from repro.synth_data import make_tabular
 
@@ -32,14 +33,31 @@ def data():
     return X.values, y
 
 
+def _count_updates(monkeypatch) -> list[int]:
+    """Spy on ``AgentPolicy.update``: the returned list gets each call's
+    number of (cache, return) pairs."""
+    sizes = []
+    real = AgentPolicy.update
+
+    def spy(self, steps):
+        sizes.append(len(steps))
+        return real(self, steps)
+
+    monkeypatch.setattr(AgentPolicy, "update", spy)
+    return sizes
+
+
 class TestEAFERun:
-    def test_eafe_end_to_end(self, data, fpe):
+    def test_eafe_end_to_end(self, data, fpe, monkeypatch):
         X, y = data
+        updates = _count_updates(monkeypatch)
         r = run_afe(X, y, "C", fpe, TINY)
         assert r.best_score >= r.base_score
         assert r.n_evaluated <= r.n_generated
         assert r.total_time > 0
-        assert len(r.history) == TINY.epochs_stage1 + TINY.epochs_stage2
+        # One policy update per agent and epoch, over both stages.
+        n_agents = len(r.kept_columns)
+        assert len(updates) == n_agents * (TINY.epochs_stage1 + TINY.epochs_stage2)
 
     def test_nfs_mode_evaluates_everything_kept(self, data):
         X, y = data
@@ -52,10 +70,11 @@ class TestEAFERun:
         r = run_afe(X, y, "C", None, replace(TINY, gate="dropout"))
         assert r.n_evaluated < r.n_generated
 
-    def test_single_stage_with_fpe(self, data, fpe):
+    def test_single_stage_with_fpe(self, data, fpe, monkeypatch):
         X, y = data
+        updates = _count_updates(monkeypatch)
         r = run_afe(X, y, "C", fpe, replace(TINY, two_stage=False))
-        assert len(r.history) == TINY.epochs_stage2
+        assert len(updates) == len(r.kept_columns) * TINY.epochs_stage2
 
     def test_missing_fpe_raises(self, data):
         X, y = data
@@ -203,6 +222,31 @@ class TestDiscount:
         eng.stage2()
         assert gammas[:n1] == [eafe.GAMMA] * n1
         assert set(gammas[n1:]) == {eafe.GAMMA * eafe.LAM if two_stage else eafe.GAMMA}
+
+
+class TestEpisode:
+    @pytest.mark.parametrize("two_stage", [True, False])
+    def test_round_is_the_epoch(self, data, fpe, two_stage, monkeypatch):
+        """Every step embeds the run's epoch index as its round t, counted
+        on over both stages (from 0 in a single-stage run), and every
+        episode updates its agent once, with one (cache, return) pair per
+        step."""
+        X, y = data
+        ts = []
+        real = eafe.state_embedding
+        monkeypatch.setattr(
+            eafe, "state_embedding", lambda v, n, t: ts.append(t) or real(v, n, t)
+        )
+        updates = _count_updates(monkeypatch)
+        cfg = replace(TINY, epochs_stage1=2, epochs_stage2=3, two_stage=two_stage)
+        eng = _Engine(X, y, "C", fpe, cfg)
+        if two_stage:
+            eng.stage1()
+        eng.stage2()
+        epochs = cfg.epochs_stage1 * two_stage + cfg.epochs_stage2
+        per_epoch = eng.n_agents * cfg.steps_per_agent
+        assert ts == [e for e in range(epochs) for _ in range(per_epoch)]
+        assert updates == [cfg.steps_per_agent] * (eng.n_agents * epochs)
 
 
 class TestFeatureMatrix:

@@ -1,11 +1,12 @@
 """The settable surface: every field and parameter here has a caller that
 sets it. A value nothing sets is a module constant instead (tests patch
-it with ``monkeypatch.setattr``), so adding one back must change this file."""
+it with ``monkeypatch.setattr``), so adding one back must change this file.
+Likewise every ``AFEResult`` field has a reader."""
 import inspect
 from dataclasses import fields
 
 from repro.bench.artifacts import get_fpe_models, get_grid
-from repro.core.eafe import AFEConfig
+from repro.core.eafe import AFEConfig, AFEResult
 from repro.core.fpe import _label_one_dataset
 from repro.core.policy import AgentPolicy
 
@@ -19,6 +20,13 @@ def test_afe_config_fields():
         "epochs_stage1", "epochs_stage2", "steps_per_agent", "max_agents",
         "gate", "two_stage", "cv_k", "cv_trees", "final_cv_k", "final_cv_trees",
         "seed",
+    ]
+
+
+def test_afe_result_fields():
+    assert [f.name for f in fields(AFEResult)] == [
+        "base_score", "best_score", "n_generated", "n_evaluated", "gen_time",
+        "eval_time", "total_time", "selected_specs", "feature_names", "kept_columns",
     ]
 
 
