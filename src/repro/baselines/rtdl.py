@@ -26,22 +26,19 @@ from ..ml.resnet import TabularResNet
 
 __all__ = ["split_indices", "run_rtdl_n", "run_fe_dl", "run_dl_fe"]
 
+# Train and validation shares of the split; the test split is the rest.
+TRAIN_FRAC, VAL_FRAC = 0.6, 0.2
+# DL|FE's cap on the representation columns it selects.
+MAX_SELECTED = 16
 
-def split_indices(
-    n: int, seed: int, frac: tuple[float, float, float] = (0.6, 0.2, 0.2)
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+
+def split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Deterministic train/validation/test split."""
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
-    n_tr = int(frac[0] * n)
-    n_va = int(frac[1] * n)
+    n_tr = int(TRAIN_FRAC * n)
+    n_va = int(VAL_FRAC * n)
     return perm[:n_tr], perm[n_tr : n_tr + n_va], perm[n_tr + n_va :]
-
-
-def _fit_resnet(X, y, task, seed) -> TabularResNet:
-    net = TabularResNet(task=task, width=32, n_blocks=2, epochs=150, seed=seed)
-    net.fit(X, y)
-    return net
 
 
 def run_rtdl_n(X: np.ndarray, y: np.ndarray, task: str, seed: int = 0) -> dict:
@@ -51,7 +48,7 @@ def run_rtdl_n(X: np.ndarray, y: np.ndarray, task: str, seed: int = 0) -> dict:
     y = np.asarray(y)
     tr, va, te = split_indices(len(y), seed)
     trva = np.concatenate([tr, va])
-    net = _fit_resnet(X[tr], y[tr], task, seed)
+    net = TabularResNet(task, seed).fit(X[tr], y[tr])
     rep = net.transform(X)
     rf = RandomForest(task=task, n_trees=10, seed=seed)
     rf.fit(rep[trva], y[trva])
@@ -66,32 +63,30 @@ def run_fe_dl(
     t0 = time.perf_counter()
     y = np.asarray(y)
     tr, va, te = split_indices(len(y), seed)
-    net = _fit_resnet(X_engineered[tr], y[tr], task, seed)
+    net = TabularResNet(task, seed).fit(X_engineered[tr], y[tr])
     s = metric_score(y[te], net.predict(X_engineered[te]), task)
     return {"score": float(max(s, 0.0)), "time": time.perf_counter() - t0}
 
 
-def run_dl_fe(
-    X: np.ndarray, y: np.ndarray, task: str, seed: int = 0, max_selected: int = 16
-) -> dict:
+def run_dl_fe(X: np.ndarray, y: np.ndarray, task: str, seed: int = 0) -> dict:
     """ResNet representation -> greedy feature selection -> RF CV."""
     t0 = time.perf_counter()
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     tr, _, _ = split_indices(len(y), seed)
-    net = _fit_resnet(X[tr], y[tr], task, seed)
+    net = TabularResNet(task, seed).fit(X[tr], y[tr])
     rep = net.transform(X)
     # Rank representation columns by variance, greedily add while CV improves.
     order = np.argsort(-rep.std(axis=0))
     chosen: list[int] = []
     best = -np.inf
-    for j in order[: 2 * max_selected]:
+    for j in order[: 2 * MAX_SELECTED]:
         cand = chosen + [int(j)]
         s = cross_val_score(rep[:, cand], y, task, k=3, n_trees=6, seed=seed)
         if s > best:
             best = s
             chosen = cand
-        if len(chosen) >= max_selected:
+        if len(chosen) >= MAX_SELECTED:
             break
     # Final report under the shared protocol, scoring the chosen
     # representation columns once (not the greedy max).

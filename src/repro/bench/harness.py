@@ -76,25 +76,24 @@ METHODS: dict[str, Method] = {
 }
 
 
-def train_fpe_models(
-    spark: SparkSession,
-    *,
-    n_corpus: int = 24,
-    thre: float = 0.01,
-    seed: int = 0,
-) -> dict[str, FPEModel]:
-    """Pre-train one FPE model per hash family (Spark-fanned labeling).
+# Datasets in the FPE pre-training corpus.
+N_CORPUS = 24
+
+
+def train_fpe_models(spark: SparkSession) -> dict[str, FPEModel]:
+    """Pre-train one FPE model per hash family (Spark-fanned labeling) on
+    ``fpe_corpus(N_CORPUS)``, at the labeling threshold and seed that
+    ``label_corpus`` and ``FPEModel.fit`` default to.
 
     The labeling pass (Eq. 3) is shared; only the search over d differs
     per family. Returns {variant: FPEModel}.
     """
-    corpus = fpe_corpus(n_corpus, seed=1000 + seed)
+    corpus = fpe_corpus(N_CORPUS)
     # 10 trees for labeling: labels are the FPE's ground truth, so they
     # get a less noisy forest than the online evaluations use.
-    labels = label_corpus(spark, corpus, thre=thre, cv_cfg={"k": 3, "n_trees": 10})
+    labels = label_corpus(spark, corpus, cv_cfg={"k": 3, "n_trees": 10})
     return {
-        variant: FPEModel.fit(corpus, labels, fixed_variant=variant, thre=thre, seed=seed)
-        for variant in VARIANTS
+        variant: FPEModel.fit(corpus, labels, fixed_variant=variant) for variant in VARIANTS
     }
 
 

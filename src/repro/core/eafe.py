@@ -124,7 +124,6 @@ class AFEResult:
     eval_time: float = 0.0
     total_time: float = 0.0
     selected_specs: list[FeatureSpec] = field(default_factory=list)
-    feature_names: list[str] = field(default_factory=list)
     # Original-column indices the run kept (RF-importance pre-selection);
     # selected specs index into X[:, kept_columns].
     kept_columns: np.ndarray | None = None
@@ -148,10 +147,12 @@ class FeatureState:
 
     Building the state keeps the ``cfg.max_agents`` most important
     original columns (``X``, RF-importance pre-selection), with NaN and
-    ±inf read as 0 as the forest reads them, and scores them.
-    The matrix, the kept originals plus the accepted columns, is held
-    binned per fold (``BinnedFolds``), so scoring a candidate bins only
-    the candidate's column. ``evaluate`` is one downstream evaluation of a
+    ±inf read as 0 as the forest reads them, and scores them. A
+    regression target holding NaN or ±inf is rejected here: every score
+    of it, and so every reward, would be NaN. The matrix, the kept
+    originals plus the accepted columns, is held binned per fold
+    (``BinnedFolds``), so scoring a candidate bins only the candidate's
+    column. ``evaluate`` is one downstream evaluation of a
     candidate, counted in ``res.n_evaluated`` (Table IV); the base score
     and every evaluation are timed into ``res.eval_time``. ``add`` accepts
     a candidate ``(spec, values)`` at the score that ``evaluate`` gave it,
@@ -163,6 +164,8 @@ class FeatureState:
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, task: str, cfg: AFEConfig):
+        if task == "R" and not np.isfinite(np.asarray(y, dtype=np.float64)).all():
+            raise ValueError("the regression target y holds NaN or ±inf values")
         self._t_start = time.perf_counter()
         keep = select_important_features(X, y, task, cfg.max_agents, cfg.seed)
         self.X = finite(X)[:, keep]
@@ -222,7 +225,6 @@ class FeatureState:
         its selected set, under ``final_report`` and stop the clock."""
         res = self.res
         res.selected_specs = self.specs
-        res.feature_names = [s.name for s in res.selected_specs]
         final_report(res, self.X, self.matrix(), self.y, self.task, self.cfg)
         res.total_time = time.perf_counter() - self._t_start
         return res

@@ -94,7 +94,8 @@ def feature_signature(
     """Fixed-size (3d + 6,) signature of one feature under a task.
 
     MinHash selects d rows from the feature's weight profile; the
-    signature is the normalized feature values and normalized labels at
+    signature is the normalized feature values and normalized labels
+    (for ``task`` 'C', of the class indices in sorted label order) at
     those rows (so any sample count M compresses to the same shape),
     plus six scalars that are deterministic functions of the same
     compressed rows: target alignment (value and rank correlation with
@@ -107,6 +108,8 @@ def feature_signature(
     features (observed failure; see DESIGN.md §3).
     """
     idx = select_indices(x, d, variant, seed)
+    if task == "C":  # class indices, so any label type signs alike
+        y = np.unique(y, return_inverse=True)[1]
     xs_raw, ys_raw = _minmax01_at(x, idx), _minmax01_at(y, idx)
     # Canonicalize the arbitrary hash-slot order by sorting on the
     # feature value: a feature that relates to the target then shows a

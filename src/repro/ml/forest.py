@@ -24,10 +24,10 @@ from .tree import DecisionTree, apply_bins, bin_features, finite
 __all__ = ["RandomForest", "BinnedFolds", "kfold_indices", "cross_val_score"]
 
 # Every forest in the pipeline grows its trees alike: depth 6, leaves of
-# at least 2 rows, sqrt(F) candidate features per node, 32 quantile bins.
+# at least 2 rows, sqrt(F) candidate features per node, over
+# ``bin_features``'s quantile bins.
 MAX_DEPTH = 6
 MIN_LEAF = 2
-N_BINS = 32
 
 
 class RandomForest:
@@ -56,7 +56,7 @@ class RandomForest:
         rng = np.random.default_rng(self.seed)
         if edges is None:
             X = finite(X)
-            edges = bin_features(X, N_BINS)
+            edges = bin_features(X)
             X = apply_bins(X, edges)
         self.edges_ = edges
         mf = max(1, int(np.sqrt(X.shape[1])))
@@ -145,7 +145,7 @@ class BinnedFolds:
             X = X[:, None]
         out = []
         for tr, te in self.folds:
-            edges = bin_features(X[tr], N_BINS)
+            edges = bin_features(X[tr])
             out.append((edges, apply_bins(X[tr], edges), apply_bins(X[te], edges)))
         return out
 

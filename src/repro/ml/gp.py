@@ -1,6 +1,8 @@
 """Gaussian-process regression (Table V's 'GP'), numpy only.
 
 RBF kernel with a fixed noise term, solved with a Cholesky factorization.
+The length scale is sqrt(n_features), so the RBF operates on a
+per-dimension-normalized distance regardless of feature count.
 Inputs are standardized and the target centered, which is what sklearn's
 ``GaussianProcessRegressor(normalize_y=True)`` — the likely original —
 does. Dataset sizes in the roster (< 2000) keep the O(n^3) solve cheap.
@@ -14,14 +16,11 @@ from .tree import finite
 
 __all__ = ["GPRegressor"]
 
+# Added to the kernel's diagonal.
+NOISE = 1e-2
+
 
 class GPRegressor:
-    def __init__(self, length_scale: float | None = None, noise: float = 1e-2):
-        # None -> sqrt(n_features) at fit time, so the RBF operates on a
-        # per-dimension-normalized distance regardless of feature count.
-        self.length_scale = length_scale
-        self.noise = noise
-
     def _kernel(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         # Squared euclidean distances via the expansion trick.
         d2 = (
@@ -36,10 +35,10 @@ class GPRegressor:
         y = np.asarray(y, dtype=np.float64)
         self._mu, self._sd = standardize_fit(X)
         self._Xtr = standardize_apply(X, self._mu, self._sd)
-        self._ls = self.length_scale or float(np.sqrt(X.shape[1]))
+        self._ls = float(np.sqrt(X.shape[1]))
         self._ymean = y.mean()
         K = self._kernel(self._Xtr, self._Xtr)
-        K[np.diag_indices_from(K)] += self.noise
+        K[np.diag_indices_from(K)] += NOISE
         L = np.linalg.cholesky(K)
         self._alpha = np.linalg.solve(L.T, np.linalg.solve(L, y - self._ymean))
         return self

@@ -13,6 +13,11 @@ import numpy as np
 
 __all__ = ["standardize_fit", "standardize_apply", "Adam", "LinearSVM"]
 
+# The SVM's Adam step size, epoch count and L2 penalty.
+SVM_LR = 0.05
+SVM_EPOCHS = 300
+SVM_L2 = 1e-3
+
 
 def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column means and stds (zero-variance columns get std 1)."""
@@ -55,22 +60,19 @@ class Adam:
 class LinearSVM:
     """One-vs-rest linear SVM with squared hinge loss (Table V's 'SVM')."""
 
-    def __init__(self, lr: float = 0.05, epochs: int = 300, l2: float = 1e-3, seed: int = 0):
-        self.lr = lr
-        self.epochs = epochs
-        self.l2 = l2
+    def __init__(self, seed: int = 0):
         self.seed = seed
 
     def _fit_binary(self, Xb: np.ndarray, t: np.ndarray) -> np.ndarray:
         n, f1 = Xb.shape
         rng = np.random.default_rng(self.seed)
         w = rng.normal(scale=0.01, size=f1)
-        opt = Adam({"w": w}, self.lr)
-        for _ in range(self.epochs):
+        opt = Adam({"w": w}, SVM_LR)
+        for _ in range(SVM_EPOCHS):
             margin = 1.0 - t * (Xb @ w)
             active = margin > 0
             g = -(Xb[active].T @ (t[active] * margin[active])) * 2.0 / n
-            g[:-1] += self.l2 * w[:-1]
+            g[:-1] += SVM_L2 * w[:-1]
             opt.step({"w": g})
         return w
 

@@ -2,13 +2,14 @@
 
 ``FullBatchNet`` is the one training loop of the numpy networks: NaN
 scrub and standardisation, class or target encoding, the softmax
-cross-entropy (classification) or MSE (regression) gradient, L2 on the
-weight matrices only, and full-batch Adam with manual backprop — the box
-has no autograd framework, and the roster datasets are small enough that
-full-batch training is both simpler and faster than minibatching. A
-subclass gives only its architecture: ``_init`` (named parameters; names
-starting with ``W`` get the L2), ``_forward`` (logits and a cache) and
-``_backward`` (named gradients from the cache).
+cross-entropy (classification) or MSE (regression) gradient, ``L2`` on
+the weight matrices only, and full-batch Adam at step size ``LR`` with
+manual backprop — the box has no autograd framework, and the roster
+datasets are small enough that full-batch training is both simpler and
+faster than minibatching. A subclass gives only its architecture:
+``_init`` (named parameters; names starting with ``W`` get the L2),
+``_forward`` (logits and a cache) and ``_backward`` (named gradients
+from the cache).
 
 ``MLP`` (Table V's 'MLP'; also FE|DL's DL stage and the FPE's feature
 pre-selector): ReLU hidden layers, linear head.
@@ -22,6 +23,10 @@ from .tree import finite
 
 __all__ = ["FullBatchNet", "MLP"]
 
+# Every network's Adam step size and L2 penalty.
+LR = 0.01
+L2 = 1e-4
+
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
     p = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -29,13 +34,11 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 class FullBatchNet:
-    def __init__(self, task: str, lr: float, epochs: int, l2: float, seed: int):
+    def __init__(self, task: str, epochs: int, seed: int):
         if task not in ("C", "R"):
             raise ValueError("task must be 'C' or 'R'")
         self.task = task
-        self.lr = lr
         self.epochs = epochs
-        self.l2 = l2
         self.seed = seed
 
     def _standardize(self, X: np.ndarray) -> np.ndarray:
@@ -53,7 +56,7 @@ class FullBatchNet:
             self._ym, self._ys = float(np.mean(y)), float(np.std(y) or 1.0)
             T = ((y.astype(np.float64) - self._ym) / self._ys)[:, None]
         self._p = self._init(Xs.shape[1], T.shape[1], np.random.default_rng(self.seed))
-        opt = Adam(self._p, self.lr)
+        opt = Adam(self._p, LR)
         for _ in range(self.epochs):
             logits, cache = self._forward(Xs)
             if self.task == "C":
@@ -63,7 +66,7 @@ class FullBatchNet:
             g = self._backward(cache, dlogits)
             for k, w in self._p.items():
                 if k.startswith("W"):
-                    g[k] += self.l2 * w
+                    g[k] += L2 * w
             opt.step(g)
         return self
 
@@ -84,12 +87,10 @@ class MLP(FullBatchNet):
         self,
         task: str = "C",
         hidden: tuple[int, ...] = (64, 32),
-        lr: float = 0.01,
         epochs: int = 200,
-        l2: float = 1e-4,
         seed: int = 0,
     ):
-        super().__init__(task, lr, epochs, l2, seed)
+        super().__init__(task, epochs, seed)
         self.hidden = hidden
 
     def _init(self, in_dim: int, out_dim: int, rng: np.random.Generator):

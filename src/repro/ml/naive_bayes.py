@@ -7,12 +7,12 @@ from .tree import finite
 
 __all__ = ["GaussianNB"]
 
+# Share of the largest feature variance added to every class variance.
+VAR_SMOOTHING = 1e-9
+
 
 class GaussianNB:
     """Per-class Gaussian likelihoods with variance smoothing."""
-
-    def __init__(self, var_smoothing: float = 1e-9):
-        self.var_smoothing = var_smoothing
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GaussianNB":
         X = finite(X)
@@ -20,7 +20,7 @@ class GaussianNB:
         self.classes_ = np.unique(y)
         self._theta = np.stack([X[y == c].mean(axis=0) for c in self.classes_])
         self._var = np.stack([X[y == c].var(axis=0) for c in self.classes_])
-        self._var += self.var_smoothing * X.var(axis=0).max() + 1e-12
+        self._var += VAR_SMOOTHING * X.var(axis=0).max() + 1e-12
         self._log_prior = np.log(
             np.array([(y == c).mean() for c in self.classes_])
         )

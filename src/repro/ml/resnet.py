@@ -7,10 +7,10 @@ representation into feature engineering; FE|DL trains the ResNet on
 engineered features. ``transform`` exposes the penultimate activations
 for those pipelines.
 
-Architecture: input linear projection to ``width``, then ``n_blocks``
+Architecture: input linear projection to ``WIDTH``, then ``N_BLOCKS``
 residual blocks (Linear -> ReLU -> Linear, identity skip), ReLU, linear
-head. Trained by ``mlp.FullBatchNet``; this class holds only the
-architecture.
+head. Trained by ``mlp.FullBatchNet`` for ``EPOCHS`` epochs; this class
+holds only the architecture.
 """
 from __future__ import annotations
 
@@ -20,30 +20,23 @@ from .mlp import FullBatchNet
 
 __all__ = ["TabularResNet"]
 
+WIDTH = 32
+N_BLOCKS = 2
+EPOCHS = 150
+
 
 class TabularResNet(FullBatchNet):
-    def __init__(
-        self,
-        task: str = "C",
-        width: int = 32,
-        n_blocks: int = 2,
-        lr: float = 0.01,
-        epochs: int = 150,
-        l2: float = 1e-4,
-        seed: int = 0,
-    ):
-        super().__init__(task, lr, epochs, l2, seed)
-        self.width = width
-        self.n_blocks = n_blocks
+    def __init__(self, task: str = "C", seed: int = 0):
+        super().__init__(task, EPOCHS, seed)
 
     def _init(self, in_dim: int, out_dim: int, rng: np.random.Generator):
-        w = self.width
+        w = WIDTH
 
         def lin(a, b):
             return rng.normal(scale=np.sqrt(2.0 / a), size=(a, b))
 
         p = {"W_in": lin(in_dim, w), "b_in": np.zeros(w)}
-        for i in range(self.n_blocks):
+        for i in range(N_BLOCKS):
             p[f"W{i}a"] = lin(w, w)
             p[f"b{i}a"] = np.zeros(w)
             p[f"W{i}b"] = lin(w, w) * 0.1  # near-identity residual init
@@ -55,7 +48,7 @@ class TabularResNet(FullBatchNet):
     def _forward(self, Xs: np.ndarray):
         cache: dict[str, np.ndarray] = {"X": Xs}
         h = Xs @ self._p["W_in"] + self._p["b_in"]
-        for i in range(self.n_blocks):
+        for i in range(N_BLOCKS):
             cache[f"x{i}"] = h
             a = np.maximum(h @ self._p[f"W{i}a"] + self._p[f"b{i}a"], 0.0)
             cache[f"a{i}"] = a
@@ -69,7 +62,7 @@ class TabularResNet(FullBatchNet):
     def _backward(self, cache: dict, dlogits: np.ndarray):
         g = {"W_out": cache["rep"].T @ dlogits, "b_out": dlogits.sum(0)}
         dh = (dlogits @ self._p["W_out"].T) * (cache["h_last"] > 0)
-        for i in range(self.n_blocks - 1, -1, -1):
+        for i in range(N_BLOCKS - 1, -1, -1):
             da = dh @ self._p[f"W{i}b"].T
             da *= cache[f"a{i}"] > 0
             g[f"W{i}b"] = cache[f"a{i}"].T @ dh

@@ -29,16 +29,18 @@ import numpy as np
 __all__ = ["bin_features", "apply_bins", "finite", "DecisionTree"]
 
 _LEAF = -1
+# Quantile bins per feature, for every binning in the pipeline.
+N_BINS = 32
 
 
-def bin_features(X: np.ndarray, n_bins: int = 32) -> np.ndarray:
-    """Quantile bin edges per feature; shape (F, n_bins - 1).
+def bin_features(X: np.ndarray) -> np.ndarray:
+    """Quantile bin edges per feature; shape (F, N_BINS - 1).
 
     Edges are interior cut points; values are later assigned with
     ``searchsorted`` so constant features collapse to a single bin.
     """
     X = np.asarray(X, dtype=np.float64)
-    qs = np.linspace(0, 1, n_bins + 1)[1:-1]
+    qs = np.linspace(0, 1, N_BINS + 1)[1:-1]
     return np.quantile(X, qs, axis=0).T.copy()
 
 

@@ -45,13 +45,16 @@ def _latent_score(Xz: np.ndarray, n_informative: int, g: np.random.Generator) ->
     return s
 
 
+# Classes of a classification set: the roster and the corpus are binary.
+N_CLASSES = 2
+
+
 def make_tabular(
     *,
     task: str,
     n_samples: int,
     n_features: int,
     n_informative: int | None = None,
-    n_classes: int = 2,
     noise: float = 0.1,
     seed: int = 0,
 ) -> tuple[pd.DataFrame, np.ndarray]:
@@ -59,8 +62,8 @@ def make_tabular(
 
     Returns (X as pandas with columns f0..f{N-1}, y as numpy). Columns
     beyond ``n_informative`` are pure distractors. ``task`` is 'C'
-    (labels = quantile bins of the latent score, balanced) or 'R'
-    (y = latent score + gaussian noise).
+    (labels 0..N_CLASSES-1 = quantile bins of the latent score, balanced)
+    or 'R' (y = latent score + gaussian noise).
     """
     if task not in ("C", "R"):
         raise ValueError("task must be 'C' or 'R'")
@@ -76,7 +79,7 @@ def make_tabular(
     s = _latent_score(X, n_informative, g)
     s = s + noise * (s.std() or 1.0) * g.normal(size=n_samples)
     if task == "C":
-        qs = np.quantile(s, np.linspace(0, 1, n_classes + 1)[1:-1])
+        qs = np.quantile(s, np.linspace(0, 1, N_CLASSES + 1)[1:-1])
         y = np.digitize(s, qs).astype(np.int64)
     else:
         y = s.astype(np.float64)

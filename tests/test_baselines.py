@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from repro.baselines import rtdl
 from repro.baselines.autofs import random_pool, run_autofs_r
 from repro.baselines.nfs import nfs_config, run_nfs
 from repro.baselines.rtdl import run_dl_fe, run_fe_dl, run_rtdl_n, split_indices
@@ -24,6 +25,10 @@ TINY = AFEConfig(
 def data():
     X, y = make_tabular(task="C", n_samples=220, n_features=6, seed=5)
     return X.values, y
+
+
+def _names(r) -> list[str]:
+    return [s.name for s in r.selected_specs]
 
 
 class TestNFSConfig:
@@ -89,7 +94,7 @@ class TestGoldenRows:
         m = METHODS[method]
         kw = {"fpe": fpe} if m.variant else {}
         r = m.runner(X, y, "C", cfg=replace(TINY, **m.overrides), **kw)
-        assert (r.best_score, r.n_evaluated, r.feature_names) == self.GOLDEN[method]
+        assert (r.best_score, r.n_evaluated, _names(r)) == self.GOLDEN[method]
         assert r.base_score == self.BASE_SCORE
 
     # A regression set, where E-AFE selects a feature composed from a
@@ -111,7 +116,7 @@ class TestGoldenRows:
         m = METHODS[method]
         kw = {"fpe": fpe} if m.variant else {}
         r = m.runner(X.values.astype(np.float64), y, "R", cfg=replace(TINY, **m.overrides), **kw)
-        assert (r.best_score, r.n_evaluated, r.feature_names) == self.BOSTON[method]
+        assert (r.best_score, r.n_evaluated, _names(r)) == self.BOSTON[method]
         assert r.base_score == self.BOSTON_BASE_SCORE
 
     # Two stage-1 epochs of four steps: past the gate quantile's warm-up
@@ -131,7 +136,7 @@ class TestGoldenRows:
         m = METHODS[method]
         kw = {"fpe": fpe} if m.variant else {}
         r = m.runner(X.values.astype(np.float64), y, "C", cfg=replace(self.LONG, **m.overrides), **kw)
-        assert (r.best_score, r.n_evaluated, r.feature_names) == self.LABOR_LONG[method]
+        assert (r.best_score, r.n_evaluated, _names(r)) == self.LABOR_LONG[method]
         assert r.base_score == self.BASE_SCORE
 
 
@@ -145,7 +150,7 @@ class TestConstantInput:
         m = METHODS[method]
         r = m.runner(X, y, "C", cfg=replace(TINY, **m.overrides))
         assert r.n_generated == r.n_evaluated == 0
-        assert r.feature_names == []
+        assert r.selected_specs == []
         assert r.best_score == r.base_score
 
 
@@ -178,6 +183,32 @@ class TestDegenerateInputs:
         r = m.runner(X, y, task, cfg=replace(TINY, **m.overrides), **kw)
         assert np.isfinite(r.best_score)
         assert r.best_score >= r.base_score
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("method", ["E-AFE", "E-AFE_D", "NFS", "FS_R"])
+    def test_nonfinite_regression_target_raises(self, method, bad, fpe):
+        """A NaN or inf target is rejected up front, before any reward or
+        score can read it."""
+        X = np.random.default_rng(8).normal(size=(90, 4))
+        y = X[:, 0] + X[:, 1]
+        y[5] = bad
+        m = METHODS[method]
+        kw = {"fpe": fpe} if m.variant else {}
+        with pytest.raises(ValueError, match="regression target"):
+            m.runner(X, y, "R", cfg=replace(TINY, **m.overrides), **kw)
+
+    @pytest.mark.parametrize("method", ["E-AFE", "NFS", "FS_R"])
+    def test_string_class_labels(self, method, data, fpe):
+        """String labels run as their sorted integer codes do."""
+        X, y = data
+        m = METHODS[method]
+        kw = {"fpe": fpe} if m.variant else {}
+        cfg = replace(TINY, **m.overrides)
+        coded = m.runner(X, y, "C", cfg=cfg, **kw)
+        named = m.runner(X, np.array(["a", "b"])[y], "C", cfg=cfg, **kw)
+        assert (named.best_score, named.n_evaluated, _names(named)) == (
+            coded.best_score, coded.n_evaluated, _names(coded)
+        )
 
 
 class TestOneRecord:
@@ -300,9 +331,10 @@ class TestDLBaselines:
         out = run_fe_dl(X, y, "C", seed=0)
         assert 0.0 <= out["score"] <= 1.0
 
-    def test_dl_fe(self, data):
+    def test_dl_fe(self, data, monkeypatch):
         X, y = data
-        out = run_dl_fe(X, y, "C", seed=0, max_selected=6)
+        monkeypatch.setattr(rtdl, "MAX_SELECTED", 6)
+        out = run_dl_fe(X, y, "C", seed=0)
         assert 0.0 <= out["score"] <= 1.0
 
     def test_tree_method_beats_dl_on_small_data(self, data):

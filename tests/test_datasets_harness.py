@@ -5,6 +5,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.bench import harness
 from repro.bench.datasets import ROSTER, TABLE1_DATASETS, by_name, load_dataset
 from repro.bench.harness import METHODS, replacement_scores, run_cell, run_grid, train_fpe_models
 from repro.bench.paper_numbers import table3_frame
@@ -81,7 +82,9 @@ class TestReplacementScores:
 
 @pytest.fixture(scope="module")
 def fpe_models(spark):
-    return train_fpe_models(spark, n_corpus=6, seed=0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "N_CORPUS", 6)
+        return train_fpe_models(spark)
 
 
 class TestRunCell:

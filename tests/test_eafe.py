@@ -100,7 +100,7 @@ class TestEAFERun:
         a = run_afe(X, y, "C", fpe, TINY)
         b = run_afe(X, y, "C", fpe, TINY)
         assert a.best_score == b.best_score
-        assert a.feature_names == b.feature_names
+        assert a.selected_specs == b.selected_specs
 
     def test_regression_task(self, fpe):
         X, y = make_tabular(task="R", n_samples=200, n_features=5, seed=4)
@@ -117,10 +117,7 @@ class TestEAFERun:
         X, y = data
         monkeypatch.setattr(eafe, "MAX_ORDER", 2)
         r = run_afe(X, y, "C", fpe, replace(TINY, epochs_stage2=3))
-        from repro.core.transform import parse_spec
-
-        for name in r.feature_names:
-            assert parse_spec(name).order <= 2
+        assert all(s.order <= 2 for s in r.selected_specs)
 
 
 class TestStateInvariants:

@@ -41,8 +41,8 @@ class TestEndToEnd:
 
     def test_selected_specs_parse_round_trip(self, run):
         _, _, res = run
-        for name in res.feature_names:
-            assert parse_spec(name).name == name
+        for s in res.selected_specs:
+            assert parse_spec(s.name).name == s.name
 
     def test_selected_features_pass_oracle(self, run):
         """Every selected feature of the final matrix, nested ``minmax``
@@ -71,7 +71,7 @@ class TestEndToEnd:
 
 class TestTable1Harness:
     def test_table1_rows_and_shape(self):
-        df = table1(epochs=1)
+        df = table1()
         assert list(df["dataset"]) == [
             "PimaIndian", "credit-a", "diabetes", "German Credit"
         ]

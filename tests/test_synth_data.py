@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro import synth_data
 from repro.synth_data import fpe_corpus, make_tabular
 
 
@@ -16,8 +17,9 @@ class TestMakeTabular:
         assert set(y) == {0, 1}
         assert 0.4 < y.mean() < 0.6
 
-    def test_multiclass(self):
-        _, y = make_tabular(task="C", n_samples=300, n_features=6, n_classes=3, seed=2)
+    def test_multiclass(self, monkeypatch):
+        monkeypatch.setattr(synth_data, "N_CLASSES", 3)
+        _, y = make_tabular(task="C", n_samples=300, n_features=6, seed=2)
         assert set(y) == {0, 1, 2}
 
     def test_regression_float_target(self):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.ml import tree as tree_mod
 from repro.ml.forest import BinnedFolds, RandomForest, cross_val_score, kfold_indices
 from repro.ml.metrics import score as metric_score
 from repro.ml.tree import DecisionTree, apply_bins, bin_features, finite
@@ -29,27 +30,31 @@ def reg_data():
 
 
 class TestBinning:
-    def test_edges_shape(self):
+    def test_edges_shape(self, monkeypatch):
+        monkeypatch.setattr(tree_mod, "N_BINS", 16)
         X = np.random.default_rng(0).normal(size=(100, 4))
-        edges = bin_features(X, n_bins=16)
+        edges = bin_features(X)
         assert edges.shape == (4, 15)
 
-    def test_bins_in_range(self):
+    def test_bins_in_range(self, monkeypatch):
+        monkeypatch.setattr(tree_mod, "N_BINS", 8)
         X = np.random.default_rng(0).normal(size=(100, 3))
-        edges = bin_features(X, n_bins=8)
+        edges = bin_features(X)
         b = apply_bins(X, edges)
         assert b.dtype == np.uint8
         assert b.min() >= 0 and b.max() <= 7
 
-    def test_constant_column_single_bin(self):
+    def test_constant_column_single_bin(self, monkeypatch):
+        monkeypatch.setattr(tree_mod, "N_BINS", 8)
         X = np.ones((50, 1))
-        edges = bin_features(X, n_bins=8)
+        edges = bin_features(X)
         b = apply_bins(X, edges)
         assert len(np.unique(b)) == 1
 
-    def test_monotone_mapping(self):
+    def test_monotone_mapping(self, monkeypatch):
+        monkeypatch.setattr(tree_mod, "N_BINS", 10)
         X = np.arange(100, dtype=float)[:, None]
-        edges = bin_features(X, n_bins=10)
+        edges = bin_features(X)
         b = apply_bins(X, edges)[:, 0].astype(int)
         assert (np.diff(b) >= 0).all()
 
@@ -344,7 +349,6 @@ class TestLevelWiseTree:
 
     def test_forest_fit_bins_once(self, monkeypatch, clf_data):
         import repro.ml.forest as forest_mod
-        import repro.ml.tree as tree_mod
 
         calls = []
         orig = tree_mod.bin_features
