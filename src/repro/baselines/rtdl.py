@@ -21,7 +21,7 @@ import numpy as np
 
 from ..core.eafe import AFEConfig, AFEResult, final_report
 from ..ml.forest import RandomForest, cross_val_score
-from ..ml.metrics import score as metric_score
+from ..ml.metrics import check_target, score as metric_score
 from ..ml.resnet import TabularResNet
 
 __all__ = ["split_indices", "run_rtdl_n", "run_fe_dl", "run_dl_fe"]
@@ -43,6 +43,7 @@ def split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 def run_rtdl_n(X: np.ndarray, y: np.ndarray, task: str, seed: int = 0) -> dict:
     """ResNet feature extractor + RF head, train/val/test protocol."""
+    check_target(y, task)
     t0 = time.perf_counter()
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -60,6 +61,7 @@ def run_fe_dl(
     X_engineered: np.ndarray, y: np.ndarray, task: str, seed: int = 0
 ) -> dict:
     """Engineered features -> ResNet, scored on the test split."""
+    check_target(y, task)
     t0 = time.perf_counter()
     y = np.asarray(y)
     tr, va, te = split_indices(len(y), seed)
@@ -70,6 +72,7 @@ def run_fe_dl(
 
 def run_dl_fe(X: np.ndarray, y: np.ndarray, task: str, seed: int = 0) -> dict:
     """ResNet representation -> greedy feature selection -> RF CV."""
+    check_target(y, task)
     t0 = time.perf_counter()
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)

@@ -7,6 +7,8 @@ in its own Spark task on all cores, the cells expected to run longest
 first (DESIGN.md §4). Replacement-model scores for Table V (SVM /
 NB-or-GP / MLP over the method's cached feature matrix) are computed
 inside the same task so feature matrices never cross the wire.
+``jobs/run_all.py`` calls ``train_fpe_models`` and ``run_grid`` only when
+it builds ``results/grid.csv``; the tables read that file.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from ..hashing.minhash import VARIANTS
 from ..ml.forest import kfold_indices
 from ..ml.gp import GPRegressor
 from ..ml.linear import LinearSVM
-from ..ml.metrics import score as metric_score
+from ..ml.metrics import check_target, score as metric_score
 from ..ml.mlp import MLP
 from ..ml.naive_bayes import GaussianNB
 from ..synth_data import fpe_corpus
@@ -154,6 +156,7 @@ def replacement_scores(M: np.ndarray, y: np.ndarray, task: str, seed: int = 0) -
     3-fold cross-validation with each replacement model; NB for
     classification, GP for regression (the paper's pairing).
     """
+    check_target(y, task)
     y = np.asarray(y)
     results = {}
     if task == "C":

@@ -1,12 +1,12 @@
 """The one SparkSession factory, and the one module that imports pyspark.
 
-The ``jobs/`` entrypoints, the benchmark and the tests' ``spark``
-fixture (conftest.py) all get their session here. Every other module
-imports without pyspark: the fan-out, the FPE labelling and the grid
-drive the session they are given and name its type only for the type
-checker. Under ``spark-submit`` the master/memory come from the submit
-command; run directly, ``get_spark`` sets the PYSPARK_SUBMIT_ARGS default,
-with the driver heap from :func:`driver_mem`.
+``jobs/run_all.py`` (when it builds the grid), the benchmark and the
+tests' ``spark`` fixture (conftest.py) all get their session here.
+Every other module imports without pyspark: the fan-out, the FPE
+labelling and the grid drive the session they are given and name its
+type only for the type checker. Under ``spark-submit`` the master/memory
+come from the submit command; run directly, ``get_spark`` sets the
+PYSPARK_SUBMIT_ARGS default, with the driver heap from :func:`driver_mem`.
 """
 from __future__ import annotations
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..ml.forest import BinnedFolds, RandomForest, cross_val_score
+from ..ml.metrics import check_target
 from ..ml.tree import finite
 from .fpe import FPEModel
 from .operators import ALL_OPS, BINARY_OPS, numpy_op
@@ -164,8 +165,7 @@ class FeatureState:
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, task: str, cfg: AFEConfig):
-        if task == "R" and not np.isfinite(np.asarray(y, dtype=np.float64)).all():
-            raise ValueError("the regression target y holds NaN or ±inf values")
+        check_target(y, task)
         self._t_start = time.perf_counter()
         keep = select_important_features(X, y, task, cfg.max_agents, cfg.seed)
         self.X = finite(X)[:, keep]

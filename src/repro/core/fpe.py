@@ -43,6 +43,9 @@ if TYPE_CHECKING:
 __all__ = ["feature_signature", "label_corpus", "FPEModel"]
 
 DEFAULT_D_OPTIONS = (16, 32, 48, 64)
+# Eq. 3's labelling threshold: a feature is effective when its score gain
+# exceeds it. Also Eq. 8's thre, through ``FPEModel.thre``.
+LABEL_THRE = 0.01
 # Share of the corpus datasets held out to validate each d (Eq. 6).
 VAL_FRACTION = 0.3
 
@@ -214,7 +217,7 @@ def _label_one_dataset(entry: dict, thre: float, cv_cfg: dict) -> pd.DataFrame:
 def label_corpus(
     spark: SparkSession,
     corpus: list[dict],
-    thre: float = 0.01,
+    thre: float = LABEL_THRE,
     cv_cfg: dict | None = None,
 ) -> pd.DataFrame:
     """Eq. 3 labels for every (dataset, feature) pair, fanned out on Spark.
@@ -246,7 +249,7 @@ class FPEModel:
 
     variant: str = "ccws"
     d: int = 48
-    thre: float = 0.01
+    thre: float = LABEL_THRE
     seed: int = 0
     d_a_max: float = 0.1
     d_a_min: float = -0.1
@@ -270,7 +273,6 @@ class FPEModel:
         *,
         fixed_variant: str = "ccws",
         d_options: tuple[int, ...] = DEFAULT_D_OPTIONS,
-        thre: float = 0.01,
         seed: int = 0,
     ) -> "FPEModel":
         """Search the signature dimension d maximizing validation recall
@@ -317,7 +319,6 @@ class FPEModel:
         model = cls(
             variant=fixed_variant,
             d=d,
-            thre=thre,
             seed=seed,
             d_a_max=float(labels["gain"].max()),
             d_a_min=float(labels["gain"].min()),

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["precision_recall", "f1_score", "one_minus_rae", "score"]
+__all__ = ["precision_recall", "f1_score", "one_minus_rae", "score", "check_target"]
 
 
 def precision_recall(
@@ -66,3 +66,10 @@ def score(y_true: np.ndarray, y_pred: np.ndarray, task: str) -> float:
     if task == "R":
         return one_minus_rae(y_true, y_pred)
     raise ValueError(f"unknown task type {task!r} (expected 'C' or 'R')")
+
+
+def check_target(y: np.ndarray, task: str) -> None:
+    """Reject a regression target holding NaN or ±inf: every score of it,
+    and so every reward or table entry, would be NaN."""
+    if task == "R" and not np.isfinite(np.asarray(y, dtype=np.float64)).all():
+        raise ValueError("the regression target y holds NaN or ±inf values")

@@ -9,7 +9,7 @@ from repro.baselines.autofs import random_pool, run_autofs_r
 from repro.baselines.nfs import nfs_config, run_nfs
 from repro.baselines.rtdl import run_dl_fe, run_fe_dl, run_rtdl_n, split_indices
 from repro.bench.datasets import by_name, load_dataset
-from repro.bench.harness import METHODS
+from repro.bench.harness import METHODS, replacement_scores
 from repro.core import eafe
 from repro.core.eafe import AFEConfig, _Engine, build_feature_matrix, run_afe
 from repro.core.transform import FeatureSpec, leaf
@@ -170,6 +170,10 @@ def _degenerate_inputs():
     }
 
 
+# The DL baselines and Table V's replacement models: (X, y, task), no config.
+_CONFIGLESS = {f.__name__: f for f in (run_rtdl_n, run_fe_dl, run_dl_fe, replacement_scores)}
+
+
 class TestDegenerateInputs:
     """Each RF method finishes on degenerate inputs and reports a finite
     score no worse than its base score."""
@@ -185,17 +189,21 @@ class TestDegenerateInputs:
         assert r.best_score >= r.base_score
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("method", ["E-AFE", "E-AFE_D", "NFS", "FS_R"])
+    @pytest.mark.parametrize("method", ["E-AFE", "E-AFE_D", "NFS", "FS_R", *_CONFIGLESS])
     def test_nonfinite_regression_target_raises(self, method, bad, fpe):
         """A NaN or inf target is rejected up front, before any reward or
-        score can read it."""
+        score can read it: by the RF methods and by the DL baselines and
+        Table V's replacement models, which take no config."""
         X = np.random.default_rng(8).normal(size=(90, 4))
         y = X[:, 0] + X[:, 1]
         y[5] = bad
-        m = METHODS[method]
-        kw = {"fpe": fpe} if m.variant else {}
         with pytest.raises(ValueError, match="regression target"):
-            m.runner(X, y, "R", cfg=replace(TINY, **m.overrides), **kw)
+            if method in _CONFIGLESS:
+                _CONFIGLESS[method](X, y, "R")
+            else:
+                m = METHODS[method]
+                kw = {"fpe": fpe} if m.variant else {}
+                m.runner(X, y, "R", cfg=replace(TINY, **m.overrides), **kw)
 
     @pytest.mark.parametrize("method", ["E-AFE", "NFS", "FS_R"])
     def test_string_class_labels(self, method, data, fpe):

@@ -6,11 +6,10 @@ import inspect
 from dataclasses import fields
 
 from repro.baselines.rtdl import run_dl_fe, split_indices
-from repro.bench.artifacts import get_fpe_models, get_grid
 from repro.bench.harness import train_fpe_models
 from repro.bench.tables import table1
 from repro.core.eafe import AFEConfig, AFEResult
-from repro.core.fpe import _label_one_dataset
+from repro.core.fpe import FPEModel, _label_one_dataset, label_corpus
 from repro.core.policy import AgentPolicy
 from repro.ml.gp import GPRegressor
 from repro.ml.linear import LinearSVM
@@ -43,8 +42,8 @@ def test_afe_result_fields():
 def test_signatures():
     assert _params(AgentPolicy) == ["seed"]
     assert _params(_label_one_dataset) == ["entry", "thre", "cv_cfg"]
-    assert _params(get_grid) == ["spark", "refresh"]
-    assert _params(get_fpe_models) == ["spark", "refresh"]
+    assert _params(label_corpus) == ["spark", "corpus", "thre", "cv_cfg"]
+    assert _params(FPEModel.fit) == ["corpus", "labels", "fixed_variant", "d_options", "seed"]
     assert _params(train_fpe_models) == ["spark"]
     assert _params(table1) == []
     assert _params(split_indices) == ["n", "seed"]
